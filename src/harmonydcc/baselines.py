@@ -9,7 +9,6 @@ lost updates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -22,97 +21,65 @@ from .core import (
     execute_program,
     reads_input,
 )
-from .engine import BlockResult, resolve_rw_states, validate
-from .storage import SnapshotStore
+from .engine import BlockExecution, BlockResult, HarmonyEngine, validate
 
 BASELINE_KINDS = ("fabric", "aria", "serial")
 
 
-@dataclass
-class _Sim:
-    reads: dict[Tid, tuple[ReadRecord, ...]]
-    commands: dict
-    updated_keys: dict[Tid, list]
-    readers_of: dict[Key, list[Tid]]
-    writers_of: dict[Key, list[Tid]]
-    eff_read_keys: dict[Tid, set[Key]]  # program reads plus implied command reads
-    structure_hits: frozenset[Tid]
-    handler_calls: int
+class _SnapshotBaseline(HarmonyEngine):
+    """The engine's simulation and dependency resolution; the subclasses
+    replace only the commit decision."""
 
-
-class _SnapshotBaseline:
-    """Shared simulation for the value-based validators."""
-
-    def __init__(self, store: SnapshotStore):
-        self.store = store
-
-    def _simulate(self, block: Block) -> _Sim:
+    def _simulate(self, block: Block) -> BlockExecution:
+        """Simulate at the previous block's snapshot, then append one implied
+        read per input-consuming command on a key the program did not read,
+        in first-update order. Dependency states, structure hits and handler
+        calls stay those of the program reads, so they remain a property of
+        the workload rather than of the validator."""
+        if block.id != self.store.last_committed_block + 1:
+            raise ContractError(f"block {block.id} out of order")
         snapshot = block.id - 1
+        exec_ = self.simulate(block, snapshot)
+        self.resolve_dependencies(exec_)
         store = self.store
-        reads = {}
-        commands = {}
-        updated_keys = {}
-        eff_read_keys: dict[Tid, set[Key]] = {}
-        readers: dict[Key, set[Tid]] = {}
-        writers: dict[Key, list[Tid]] = {}
-        for txn in block.txns:
-            raw, cmds, updated = execute_program(
-                txn.tid, txn.steps, lambda key: store.read(key, snapshot)
+        for tid, commands in exec_.commands.items():
+            read_keys = {record.key for record in exec_.reads[tid]}
+            implied = tuple(
+                ReadRecord(key, snapshot, store.read(key, snapshot), False)
+                for key, command in commands.items()
+                if reads_input(command) and key not in read_keys
             )
-            records = [ReadRecord(k, snapshot, v, own) for k, v, own in raw]
-            eff = {k for k, _, _ in raw}
-            for key in updated:
-                writers.setdefault(key, []).append(txn.tid)
-                if reads_input(cmds[key]) and key not in eff:
-                    eff.add(key)
-                    records.append(
-                        ReadRecord(key, snapshot, store.read(key, snapshot), False)
-                    )
-            for key, _, _ in raw:
-                readers.setdefault(key, set()).add(txn.tid)
-            reads[txn.tid] = tuple(records)
-            commands[txn.tid] = cmds
-            updated_keys[txn.tid] = updated
-            eff_read_keys[txn.tid] = eff
-        readers_of = {k: sorted(v) for k, v in readers.items()}
-        writers_of = {k: sorted(v) for k, v in writers.items()}
-        # Structure hits are reported from program reads only, so the metric
-        # stays a property of the workload rather than of the validator.
-        tids = [t.tid for t in block.txns]
-        dep, calls = resolve_rw_states(tids, readers_of, writers_of)
-        hits = frozenset(t for t in tids if validate(dep[t]))
-        return _Sim(
-            reads=reads,
-            commands=commands,
-            updated_keys=updated_keys,
-            readers_of=readers_of,
-            writers_of=writers_of,
-            eff_read_keys=eff_read_keys,
-            structure_hits=hits,
-            handler_calls=calls,
-        )
+            if implied:
+                exec_.reads[tid] += implied
+        return exec_
 
-    def _finish(
-        self,
-        block: Block,
-        sim: _Sim,
-        aborted: set[Tid],
-        writes: dict[Key, int],
-        applied_order: dict[Key, tuple[Tid, ...]],
-    ) -> BlockResult:
-        self.store.install_block_writes(block.id, writes)
+    def _finish(self, exec_: BlockExecution, aborted: set[Tid]) -> BlockResult:
+        """Evaluate each committed command on the snapshot value in TID
+        order, install the writes and report the block."""
+        block = exec_.block
+        store = self.store
         committed = frozenset(t.tid for t in block.txns) - aborted
+        writes: dict[Key, int] = {}
+        applied: dict[Key, list[Tid]] = {}
+        for txn in block.txns:
+            if txn.tid not in committed:
+                continue
+            for key, command in exec_.commands[txn.tid].items():
+                writes[key] = apply_command(command, store.read(key, exec_.snapshot))
+                applied.setdefault(key, []).append(txn.tid)
+        store.install_block_writes(block.id, writes)
+        dep = exec_.dep_states
         return BlockResult(
             block_id=block.id,
-            snapshot=block.id - 1,
+            snapshot=exec_.snapshot,
             committed=committed,
             aborted=frozenset(aborted),
             writes=writes,
-            applied_order=applied_order,
-            structure_hits=sim.structure_hits,
-            reads=sim.reads,
-            commands=sim.commands,
-            handler_calls=sim.handler_calls,
+            applied_order={k: tuple(v) for k, v in applied.items()},
+            structure_hits=frozenset(t for t in dep if validate(dep[t])),
+            reads=exec_.reads,
+            commands=exec_.commands,
+            handler_calls=exec_.handler_calls,
         )
 
     def export_state(self) -> Optional[dict]:
@@ -122,9 +89,6 @@ class _SnapshotBaseline:
         if state is not None:
             raise ContractError("baseline engines carry no recoverable state")
 
-    def close(self) -> None:
-        pass
-
 
 class FabricEngine(_SnapshotBaseline):
     """Aborts on a single stale read: scanning in TID order, a transaction
@@ -132,27 +96,16 @@ class FabricEngine(_SnapshotBaseline):
     committed in the scan. Commits apply serially in TID order."""
 
     def process_block(self, block: Block) -> BlockResult:
-        if block.id != self.store.last_committed_block + 1:
-            raise ContractError(f"block {block.id} out of order")
-        sim = self._simulate(block)
-        snapshot = block.id - 1
+        exec_ = self._simulate(block)
         aborted: set[Tid] = set()
         committed_writes: set[Key] = set()
-        writes: dict[Key, int] = {}
-        applied: dict[Key, list[Tid]] = {}
         for txn in block.txns:
             tid = txn.tid
-            if any(k in committed_writes for k in sim.eff_read_keys[tid]):
+            if any(record.key in committed_writes for record in exec_.reads[tid]):
                 aborted.add(tid)
                 continue
-            for key in sim.updated_keys[tid]:
-                committed_writes.add(key)
-                writes[key] = apply_command(
-                    sim.commands[tid][key], self.store.read(key, snapshot)
-                )
-                applied.setdefault(key, []).append(tid)
-        order = {k: tuple(v) for k, v in applied.items()}
-        return self._finish(block, sim, aborted, writes, order)
+            committed_writes.update(exec_.commands[tid])
+        return self._finish(exec_, aborted)
 
 
 class AriaEngine(_SnapshotBaseline):
@@ -161,13 +114,8 @@ class AriaEngine(_SnapshotBaseline):
     incoming read dependency. Survivors have disjoint write sets."""
 
     def process_block(self, block: Block) -> BlockResult:
-        if block.id != self.store.last_committed_block + 1:
-            raise ContractError(f"block {block.id} out of order")
-        sim = self._simulate(block)
-        snapshot = block.id - 1
-        ww_losers: set[Tid] = set()
-        for writers in sim.writers_of.values():
-            ww_losers.update(writers[1:])
+        exec_ = self._simulate(block)
+        ww_losers = self._ww_losers(exec_)
         aborted = set(ww_losers)
         for txn in block.txns:
             tid = txn.tid
@@ -175,30 +123,19 @@ class AriaEngine(_SnapshotBaseline):
                 continue
             stale = any(
                 w < tid and w not in ww_losers
-                for key in sim.eff_read_keys[tid]
-                for w in sim.writers_of.get(key, ())
+                for record in exec_.reads[tid]
+                for w in exec_.writers_of.get(record.key, ())
             )
             if not stale:
                 continue
             incoming = any(
                 r != tid
-                for key in sim.updated_keys[tid]
-                for r in sim.readers_of.get(key, ())
+                for key in exec_.commands[tid]
+                for r in exec_.readers_of.get(key, ())
             )
             if incoming:
                 aborted.add(tid)
-        writes: dict[Key, int] = {}
-        applied: dict[Key, tuple[Tid, ...]] = {}
-        for txn in block.txns:
-            tid = txn.tid
-            if tid in aborted:
-                continue
-            for key in sim.updated_keys[tid]:
-                writes[key] = apply_command(
-                    sim.commands[tid][key], self.store.read(key, snapshot)
-                )
-                applied[key] = (tid,)
-        return self._finish(block, sim, aborted, writes, applied)
+        return self._finish(exec_, aborted)
 
 
 class SerialEngine(_SnapshotBaseline):

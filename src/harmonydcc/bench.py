@@ -12,7 +12,6 @@ import csv
 import io
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -75,7 +74,6 @@ class ExperimentConfig:
     seed: int = 42
     delay_max: float = 0.0
     hotspot_prob: float = 0.5
-    workers: int = 1
     oracle_check: bool = False
 
 
@@ -101,7 +99,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunMetrics, dict[str, str]
         inter_block=config.inter_block,
         update_optim=config.update_optim,
         checkpoint_p=config.checkpoint_p,
-        workers=config.workers,
     )
     started = time.perf_counter()
     outcome = run_replicas(blocks, run_config)
@@ -225,9 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--delay-max", type=float)
     run.add_argument("--hotspot-prob", type=float, default=0.5)
-    run.add_argument("--workers", type=int)
     run.add_argument("--oracle-check", action="store_true")
-    run.add_argument("--parallel", action="store_true", help="run grid points concurrently")
     run.add_argument("--config", type=str, help="JSON config file supplying defaults")
     run.add_argument("--out", type=str, help="CSV output path (plus a .dat twin)")
     cmp_ = sub.add_parser("compare", help="rank engines across CSV outputs")
@@ -262,7 +257,6 @@ def _grid(args: argparse.Namespace) -> list[ExperimentConfig]:
                 seed=pick(args.seed, base.seed if args.config else 42),
                 delay_max=pick(args.delay_max, base.delay_max),
                 hotspot_prob=args.hotspot_prob,
-                workers=pick(args.workers, base.workers),
                 oracle_check=args.oracle_check,
             )
         )
@@ -302,11 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ):
         parser.error("--inter-block / --no-update-optim only apply to --engine harmony")
     try:
-        if args.parallel and len(configs) > 1:
-            with ThreadPoolExecutor(max_workers=min(8, len(configs))) as pool:
-                outcomes = list(pool.map(run_experiment, configs))
-        else:
-            outcomes = [run_experiment(c) for c in configs]
+        outcomes = [run_experiment(c) for c in configs]
     except OracleViolation as exc:
         print(f"oracle violation: {exc}", file=sys.stderr)
         return 2

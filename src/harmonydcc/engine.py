@@ -26,8 +26,6 @@ one.
 """
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -42,7 +40,6 @@ from .core import (
     apply_command,
     compose,
     execute_program,
-    reads_input,
 )
 from .storage import SnapshotStore
 
@@ -53,7 +50,6 @@ NO_INCOMING = -1  # max_in sentinel; every TID is non-negative
 class EngineOptions:
     inter_block: bool = False
     update_optim: bool = True
-    workers: int = 1
 
 
 @dataclass
@@ -103,24 +99,17 @@ def resolve_rw_states(
 
 
 @dataclass
-class ReservationEntry:
-    commands: list[tuple[Tid, Command]] = field(default_factory=list)
-    handled: bool = False
-    lock: threading.Lock = field(default_factory=threading.Lock)
-
-
-@dataclass
 class BlockExecution:
     block: Block
     snapshot: BlockId
     reads: dict[Tid, tuple[ReadRecord, ...]] = field(default_factory=dict)
+    # per transaction, its commands keyed in first-update order
     commands: dict[Tid, dict[Key, Command]] = field(default_factory=dict)
-    updated_keys: dict[Tid, list[Key]] = field(default_factory=dict)
-    reservation: dict[Key, ReservationEntry] = field(default_factory=dict)
+    # per key, (tid, command) in ascending TID order
+    reservation: dict[Key, list[tuple[Tid, Command]]] = field(default_factory=dict)
     readers_of: dict[Key, list[Tid]] = field(default_factory=dict)
     writers_of: dict[Key, list[Tid]] = field(default_factory=dict)
     dep_states: dict[Tid, DependencyState] = field(default_factory=dict)
-    inter_deps: list[tuple[Tid, Tid, str]] = field(default_factory=list)
     handler_calls: int = 0
 
 
@@ -136,7 +125,6 @@ class BlockResult:
     reads: dict[Tid, tuple[ReadRecord, ...]]
     commands: dict[Tid, dict[Key, Command]]
     handler_calls: int = 0
-    inter_deps: tuple[tuple[Tid, Tid, str], ...] = ()
 
 
 @dataclass
@@ -155,35 +143,33 @@ class HarmonyEngine:
         self.store = store
         self.options = options or EngineOptions()
         self._prev: Optional[_Carryover] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     # -- simulation step ----------------------------------------------------
 
-    def simulate(self, txn, exec_: BlockExecution) -> None:
-        store = self.store
-        snapshot = exec_.snapshot
-        raw_reads, commands, updated = execute_program(
-            txn.tid, txn.steps, lambda key: store.read(key, snapshot)
-        )
-        exec_.reads[txn.tid] = tuple(
-            ReadRecord(key, snapshot, observed, own) for key, observed, own in raw_reads
-        )
-        exec_.commands[txn.tid] = commands
-        exec_.updated_keys[txn.tid] = updated
-        for key in updated:
-            entry = exec_.reservation.setdefault(key, ReservationEntry())
-            entry.commands.append((txn.tid, commands[key]))
+    def simulate(self, block: Block, snapshot: BlockId) -> BlockExecution:
+        """Run every transaction of the block against the same snapshot.
 
-    def _simulate_block(self, block: Block, snapshot: BlockId) -> BlockExecution:
+        Transactions run in block order, which is ascending TID order (the
+        sequencer assigns TIDs in arrival order), so each key's reservation
+        lists its writers by ascending TID.
+        """
         exec_ = BlockExecution(block=block, snapshot=snapshot)
-        workers = self.options.workers
-        if workers > 1 and len(block.txns) > 1:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=workers)
-            list(self._pool.map(lambda t: self.simulate(t, exec_), block.txns))
-        else:
-            for txn in block.txns:
-                self.simulate(txn, exec_)
+        store = self.store
+        reservation = exec_.reservation
+
+        def read(key: Key):
+            return store.read(key, snapshot)
+
+        for txn in block.txns:
+            tid = txn.tid
+            raw_reads, commands, _ = execute_program(tid, txn.steps, read)
+            exec_.reads[tid] = tuple(
+                ReadRecord(key, snapshot, observed, own)
+                for key, observed, own in raw_reads
+            )
+            exec_.commands[tid] = commands
+            for key, command in commands.items():
+                reservation.setdefault(key, []).append((tid, command))
         return exec_
 
     # -- dependency resolution ----------------------------------------------
@@ -195,34 +181,12 @@ class HarmonyEngine:
                 readers_of.setdefault(record.key, set()).add(tid)
         exec_.readers_of = {k: sorted(v) for k, v in readers_of.items()}
         exec_.writers_of = {
-            key: sorted(t for t, _ in entry.commands)
-            for key, entry in exec_.reservation.items()
+            key: [t for t, _ in entries] for key, entries in exec_.reservation.items()
         }
         tids = [t.tid for t in exec_.block.txns]
         exec_.dep_states, exec_.handler_calls = resolve_rw_states(
             tids, exec_.readers_of, exec_.writers_of
         )
-        if self.options.inter_block:
-            self._record_inter_deps(exec_)
-
-    def _record_inter_deps(self, exec_: BlockExecution) -> None:
-        prev = self._prev
-        if prev is None:
-            return
-        deps = exec_.inter_deps
-        for key, readers in exec_.readers_of.items():
-            for w in prev.writers_of.get(key, ()):
-                for r in readers:
-                    deps.append((r, w, "rw"))  # newer reader precedes older writer
-        for key, writers in exec_.writers_of.items():
-            for r in prev.readers_of.get(key, ()):
-                for w in writers:
-                    deps.append((r, w, "rw"))
-            for w_prev in prev.writers_of.get(key, ()):
-                for w in writers:
-                    deps.append((w_prev, w, "ww"))
-                    if reads_input(exec_.commands[w][key]):
-                        deps.append((w_prev, w, "wr"))
 
     # -- validation ---------------------------------------------------------
 
@@ -264,53 +228,25 @@ class HarmonyEngine:
     # -- commit step --------------------------------------------------------
 
     def apply_write_sets(
-        self,
-        tid: Tid,
-        exec_: BlockExecution,
-        committed: frozenset[Tid],
-        writes: dict[Key, int],
-        applied_order: dict[Key, tuple[Tid, ...]],
-    ) -> None:
-        """Walk the transaction's updated keys; the first transaction to
-        reach a key applies the whole coalesced update for it, others skip."""
+        self, exec_: BlockExecution, committed: frozenset[Tid]
+    ) -> tuple[dict[Key, int], dict[Key, tuple[Tid, ...]]]:
+        """Per key, order the committed commands by ascending (min_out, tid),
+        coalesce them into one command and evaluate it once on the state
+        left by the previous block. Returns the writes and the applied
+        order of every written key."""
         store = self.store
         dep = exec_.dep_states
         base_block = exec_.block.id - 1
-        for key in exec_.updated_keys[tid]:
-            entry = exec_.reservation[key]
-            with entry.lock:
-                if entry.handled:
-                    continue
-                entry.handled = True
-            survivors = [(t, cmd) for t, cmd in entry.commands if t in committed]
+        writes: dict[Key, int] = {}
+        applied_order: dict[Key, tuple[Tid, ...]] = {}
+        for key, entries in exec_.reservation.items():
+            survivors = [(t, cmd) for t, cmd in entries if t in committed]
             if not survivors:
                 continue
             survivors.sort(key=lambda item: (dep[item[0]].min_out, item[0]))
             composed = compose([cmd for _, cmd in survivors])
             writes[key] = apply_command(composed, store.read(key, base_block))
             applied_order[key] = tuple(t for t, _ in survivors)
-
-    def _apply_block(
-        self, exec_: BlockExecution, committed: frozenset[Tid]
-    ) -> tuple[dict[Key, int], dict[Key, tuple[Tid, ...]]]:
-        writes: dict[Key, int] = {}
-        applied_order: dict[Key, tuple[Tid, ...]] = {}
-        todo = [t.tid for t in exec_.block.txns if t.tid in committed]
-        workers = self.options.workers
-        if workers > 1 and len(todo) > 1:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=workers)
-            list(
-                self._pool.map(
-                    lambda t: self.apply_write_sets(
-                        t, exec_, committed, writes, applied_order
-                    ),
-                    todo,
-                )
-            )
-        else:
-            for tid in todo:
-                self.apply_write_sets(tid, exec_, committed, writes, applied_order)
         return writes, applied_order
 
     # -- orchestration ------------------------------------------------------
@@ -322,7 +258,7 @@ class HarmonyEngine:
                 f"(store is at {self.store.last_committed_block})"
             )
         snapshot = block.id - (2 if self.options.inter_block else 1)
-        exec_ = self._simulate_block(block, snapshot)
+        exec_ = self.simulate(block, snapshot)
         self.resolve_dependencies(exec_)
         if self.options.inter_block:
             hits = self.enhanced_validate(exec_)
@@ -334,7 +270,7 @@ class HarmonyEngine:
         if not self.options.update_optim:
             aborted |= self._ww_losers(exec_)
         committed = frozenset(t.tid for t in block.txns) - aborted
-        writes, applied_order = self._apply_block(exec_, committed)
+        writes, applied_order = self.apply_write_sets(exec_, committed)
         self.store.install_block_writes(block.id, writes)
         if self.options.inter_block:
             self._prev = self._carryover(exec_, committed)
@@ -349,7 +285,6 @@ class HarmonyEngine:
             reads=exec_.reads,
             commands=exec_.commands,
             handler_calls=exec_.handler_calls,
-            inter_deps=tuple(exec_.inter_deps),
         )
 
     def _carryover(
@@ -398,8 +333,3 @@ class HarmonyEngine:
             readers_of={k: list(v) for k, v in state["readers_of"].items()},
             reaches_smaller=frozenset(state["reaches_smaller"]),
         )
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None

@@ -118,7 +118,6 @@ class RunConfig:
     inter_block: bool = False
     update_optim: bool = True
     checkpoint_p: int = 10
-    workers: int = 1
     event_horizon: Optional[float] = None
 
     @classmethod
@@ -145,7 +144,6 @@ def build_engine(kind: str, store: SnapshotStore, config: RunConfig):
             EngineOptions(
                 inter_block=config.inter_block,
                 update_optim=config.update_optim,
-                workers=config.workers,
             ),
         )
     if config.inter_block or not config.update_optim:
@@ -171,7 +169,6 @@ class Replica:
         replica_id: int,
         config: RunConfig,
         data_dir: Optional[Path] = None,
-        workers: Optional[int] = None,
     ):
         self.id = replica_id
         self.store = SnapshotStore()
@@ -180,8 +177,7 @@ class Replica:
         self.checkpoints = (
             CheckpointManager(data_dir, config.checkpoint_p) if data_dir else None
         )
-        effective = dataclasses.replace(config, workers=workers or config.workers)
-        self.engine = build_engine(config.engine, self.store, effective)
+        self.engine = build_engine(config.engine, self.store, config)
         self.halted = False
         self.state_hashes: list[str] = []
         self.results: list[BlockResult] = []
@@ -205,7 +201,6 @@ class Replica:
 
     def close(self) -> None:
         self.chain.close()
-        self.engine.close()
 
 
 @dataclass
@@ -256,7 +251,6 @@ def run_replicas(
     config: RunConfig,
     data_dirs: Optional[Sequence[Path]] = None,
     tamper: Optional[tuple[int, int]] = None,  # (replica_id, block_id)
-    workers_by_replica: Optional[Sequence[int]] = None,
 ) -> RunOutcome:
     """Deliver every block to every replica after its sampled delay and run
     each replica's engine; returns the per-replica per-block state hashes.
@@ -269,8 +263,7 @@ def run_replicas(
     replicas = []
     for rid in range(config.replicas):
         data_dir = data_dirs[rid] if data_dirs else None
-        workers = workers_by_replica[rid] if workers_by_replica else None
-        replicas.append(Replica(rid, config, data_dir=data_dir, workers=workers))
+        replicas.append(Replica(rid, config, data_dir=data_dir))
     deliveries = {
         rid: net.delivery_times(rid, len(blocks)) for rid in range(config.replicas)
     }

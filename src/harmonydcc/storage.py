@@ -43,10 +43,8 @@ class SnapshotStore:
     """Key/value store versioned by block id.
 
     A read at snapshot b returns the value of the largest version <= b.
-    Reads at snapshots <= last_committed_block are wait-free; installs are
-    serialized by block id, and last_committed_block only advances after
-    every version of the block is in place, so concurrent readers never
-    observe a partially installed block.
+    Installs are serialized by block id, and last_committed_block only
+    advances after every version of the block is in place.
     """
 
     def __init__(self, start_block: BlockId = -1):
@@ -348,13 +346,22 @@ def recover(
 
     build_engine(store, engine_state) must return an engine whose
     process_block replays deterministically. Raises RecoveryError when the
-    log is missing blocks after the checkpoint.
+    log is missing blocks after the checkpoint, when a block's prev_hash
+    does not match the recorded hash of the block before it, or when a
+    replayed block's payload does not match its hash. Payloads of blocks up
+    to the checkpoint are not re-hashed: their state comes from the
+    checksummed checkpoint, not from the log.
     """
     directory = Path(directory)
     chain_path = directory / CHAIN_FILE
     if not chain_path.exists():
         raise RecoveryError(f"no chain log at {chain_path}")
     chain = ChainLog.load(chain_path)
+    prev_hash = GENESIS_PREV_HASH
+    for block in chain.blocks:
+        if block.prev_hash != prev_hash:
+            raise RecoveryError(f"block {block.id}: broken prev_hash link")
+        prev_hash = block.hash
     checkpoint = load_latest_checkpoint(directory)
     if checkpoint is not None:
         if len(chain.blocks) <= checkpoint.block:
@@ -379,6 +386,9 @@ def recover(
                 f"log gap: expected block {store.last_committed_block + 1}, "
                 f"found {block.id}"
             )
+        payload = block_payload(block.id, block.txns)
+        if compute_block_hash(block.prev_hash, payload) != block.hash:
+            raise RecoveryError(f"block {block.id}: payload does not match its hash")
         engine.process_block(block)
         recovered.state_hashes[block.id] = store.state_hash()
     recovered.last_block = store.last_committed_block

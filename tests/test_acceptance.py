@@ -81,15 +81,6 @@ def test_criterion_01_determinism_across_replicas_and_delays():
             row = outcome.hash_matrix[0]
             if outcome.rows_identical() and reference.setdefault(inter_block, row) == row:
                 ok_runs += 1
-    # one spot check that worker-pool scheduling does not leak in either
-    threaded = run_replicas(
-        blocks,
-        RunConfig(replicas=4, delay_max=5.0, seed=delay_seeds[0]),
-        workers_by_replica=[1, 2, 4, 2],
-    )
-    runs += 1
-    if threaded.rows_identical() and threaded.hash_matrix[0] == reference[False]:
-        ok_runs += 1
     _report(1, ok_runs == runs, f"{ok_runs}/{runs} runs with identical hash rows")
 
 

@@ -1,7 +1,7 @@
 import random
 
 from harmonydcc.baselines import AriaEngine, FabricEngine, SerialEngine
-from harmonydcc.core import BranchStep, ReadStep, UpdateStep
+from harmonydcc.core import BranchStep, ReadRecord, ReadStep, UpdateStep
 from harmonydcc.engine import EngineOptions, HarmonyEngine
 from harmonydcc.oracle import build_graph, is_acyclic
 from harmonydcc.storage import SnapshotStore
@@ -114,6 +114,34 @@ def test_baselines_are_deterministic():
         assert [(r.committed, r.writes) for r in first] == [
             (r.committed, r.writes) for r in second
         ]
+
+
+def test_baselines_simulate_through_the_engine_path():
+    seed = tuple(UpdateStep(k, "set", v) for k, v in zip("abcde", (1, 2, 3, 4, 5)))
+    t1 = (UpdateStep("a", "add", 1),)
+    t2 = (
+        ReadStep("a"),  # program read of T1's key
+        UpdateStep("b", "add", 1),  # input-consuming, b not read
+        UpdateStep("c", "set", 7),  # blind, c not read
+        UpdateStep("e", "mul", 2),  # input-consuming, e not read
+        UpdateStep("d", "add", 2),
+        ReadStep("d"),  # own read after the update
+    )
+    t3 = (ReadStep("b"),)
+    blocks = mk_blocks([[seed], [t1, t2, t3]])
+    _, (_, harmony) = run_with(HarmonyEngine, blocks)
+    implied = {
+        1: (ReadRecord("a", 0, 1, False),),
+        2: (ReadRecord("b", 0, 2, False), ReadRecord("e", 0, 5, False)),
+        3: (),
+    }
+    for engine_cls in (FabricEngine, AriaEngine):
+        _, (_, result) = run_with(engine_cls, blocks)
+        for tid, extra in implied.items():
+            assert result.reads[tid] == harmony.reads[tid] + extra
+        assert "c" not in {record.key for record in result.reads[2]}
+        assert result.structure_hits == harmony.structure_hits == frozenset({2})
+        assert result.handler_calls == harmony.handler_calls == 2
 
 
 def test_harmony_commits_more_than_fabric_on_contended_workloads():

@@ -180,33 +180,6 @@ def test_compare_reports_empty_join(tmp_path):
     assert "no common grid" in report
 
 
-def test_parallel_grid_matches_sequential(tmp_path):
-    argv = [
-        "run",
-        "--engine",
-        "harmony",
-        "--theta",
-        "0",
-        "0.6",
-        "--keys",
-        "150",
-        "--txns",
-        "100",
-        "--block-size",
-        "10",
-        "--seed",
-        "4",
-    ]
-    out_seq = tmp_path / "seq.csv"
-    out_par = tmp_path / "par.csv"
-    assert main(argv + ["--out", str(out_seq)]) == 0
-    assert main(argv + ["--parallel", "--out", str(out_par)]) == 0
-    strip = lambda text: [
-        ",".join(line.split(",")[:-1]) for line in text.splitlines()
-    ]  # drop wall_time
-    assert strip(out_seq.read_text()) == strip(out_par.read_text())
-
-
 def test_oracle_violation_exits_2(monkeypatch, tmp_path):
     from harmonydcc import bench
 

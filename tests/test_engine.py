@@ -61,7 +61,7 @@ def test_two_transaction_match_states():
     blocks = mk_blocks([[t1, t2]], first_tid=1)
     store = SnapshotStore()
     engine = HarmonyEngine(store)
-    exec_ = engine._simulate_block(blocks[0], -1)
+    exec_ = engine.simulate(blocks[0], -1)
     engine.resolve_dependencies(exec_)
     assert (exec_.dep_states[2].min_out, exec_.dep_states[2].max_in) == (1, 1)
     assert (exec_.dep_states[1].min_out, exec_.dep_states[1].max_in) == (2, 2)
@@ -84,7 +84,7 @@ def test_resolution_matches_brute_force_on_random_blocks():
         blocks = mk_blocks([programs], first_tid=1)
         store = SnapshotStore()
         engine = HarmonyEngine(store)
-        exec_ = engine._simulate_block(blocks[0], -1)
+        exec_ = engine.simulate(blocks[0], -1)
         engine.resolve_dependencies(exec_)
         # independent re-derivation straight from the programs
         reads = {t.tid: {s.key for s in t.steps if isinstance(s, ReadStep)}
@@ -201,8 +201,8 @@ def test_repeat_updates_reserve_one_command_per_txn():
     blocks = mk_blocks([[steps]], first_tid=1)
     store = SnapshotStore()
     engine = HarmonyEngine(store)
-    exec_ = engine._simulate_block(blocks[0], -1)
-    assert len(exec_.reservation["x"].commands) == 1
+    exec_ = engine.simulate(blocks[0], -1)
+    assert len(exec_.reservation["x"]) == 1
     engine.resolve_dependencies(exec_)
     result = engine.process_block(blocks[0])
     assert result.writes == {"x": 3}
@@ -327,16 +327,6 @@ def test_identical_streams_yield_identical_results_across_stores():
     assert all(o == outputs[0] for o in outputs)
 
 
-def test_worker_pool_size_does_not_change_results():
-    blocks = _random_stream(8)
-    baseline_store, _, baseline = run_chain(blocks, workers=1)
-    for workers in (2, 4):
-        store, _, results = run_chain(blocks, workers=workers)
-        assert [r.committed for r in results] == [r.committed for r in baseline]
-        assert [r.writes for r in results] == [r.writes for r in baseline]
-        assert store.state_hash() == baseline_store.state_hash()
-
-
 # ---------------------------------------------------------------------------
 # Inter-block parallelism
 
@@ -398,23 +388,6 @@ def test_inter_block_rmw_applies_on_previous_block_state():
     assert store.read("x", 1) == 15
     assert store.read("x", 2) == 16
     assert ("x" in results[2].writes)
-
-
-def test_inter_block_records_all_three_dependency_kinds():
-    b0 = (UpdateStep("seed", "set", 1),)
-    prev = (ReadStep("p"), UpdateStep("q", "add", 1), UpdateStep("r", "set", 2))
-    cur = (
-        ReadStep("q"),  # backward rw against the previous writer
-        UpdateStep("p", "add", 1),  # forward rw from the previous reader
-        UpdateStep("r", "add", 3),  # ww plus wr (arithmetic consumes input)
-    )
-    blocks = mk_blocks([[b0], [prev], [cur]])
-    _, _, results = run_chain(blocks, inter_block=True)
-    kinds = {(src, dst, kind) for src, dst, kind in results[2].inter_deps}
-    assert (2, 1, "rw") in kinds  # current reader precedes previous writer
-    assert (1, 2, "rw") in kinds  # previous reader precedes current writer
-    assert (1, 2, "ww") in kinds
-    assert (1, 2, "wr") in kinds
 
 
 def test_engine_state_roundtrip_resumes_inter_block_decisions():

@@ -229,6 +229,45 @@ def test_recover_rejects_corrupt_log_line(tmp_path):
         recover(tmp_path, _harmony_builder)
 
 
+def _one_add_per_block_log(tmp_path: Path) -> list[str]:
+    """14 blocks of one `add k<i> i+1` each, checkpoint at block 10."""
+    programs = [(UpdateStep(f"k{i}", "add", i + 1),) for i in range(14)]
+    replica = Replica(0, RunConfig(replicas=1, checkpoint_p=10), data_dir=tmp_path)
+    for block in make_blocks(programs, 1):
+        replica.receive(block)
+    replica.close()
+    return (tmp_path / "chain.log").read_text().splitlines()
+
+
+def _rewrite_line(tmp_path: Path, lines: list[str], index: int, edit) -> None:
+    record = json.loads(lines[index])
+    edit(record)
+    lines[index] = json.dumps(record, separators=(",", ":"))
+    (tmp_path / "chain.log").write_text("\n".join(lines) + "\n")
+
+
+def test_recover_rejects_tampered_payload_after_checkpoint(tmp_path):
+    lines = _one_add_per_block_log(tmp_path)
+
+    def set_operand(record):
+        record["txns"][0]["steps"][0][3] = 999
+
+    _rewrite_line(tmp_path, lines, 12, set_operand)
+    with pytest.raises(RecoveryError, match="block 12"):
+        recover(tmp_path, _harmony_builder)
+
+
+def test_recover_rejects_broken_link_before_checkpoint(tmp_path):
+    lines = _one_add_per_block_log(tmp_path)
+
+    def break_link(record):
+        record["prev_hash"] = "ff" + record["prev_hash"][2:]
+
+    _rewrite_line(tmp_path, lines, 5, break_link)
+    with pytest.raises(RecoveryError, match="block 5"):
+        recover(tmp_path, _harmony_builder)
+
+
 def test_checkpoint_preserves_previous_files(tmp_path):
     _run_replica(tmp_path, 25, p=10)
     assert (tmp_path / "checkpoint_00000010.json").exists()
