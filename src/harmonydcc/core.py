@@ -280,9 +280,18 @@ class Block:
                 raise ContractError(f"block {self.id} tids not contiguous: {tids}")
 
 
-def block_payload(block_id: BlockId, txns) -> bytes:
-    obj = {"id": block_id, "txns": [t.to_obj() for t in txns]}
-    return canonical_json(obj).encode()
+def encode_txns(txns) -> str:
+    """Canonical JSON of a block's transactions, the one encoding that both
+    the hash payload and the log line embed."""
+    return canonical_json([t.to_obj() for t in txns])
+
+
+def block_payload(block_id: BlockId, txns, txns_json: Optional[str] = None) -> bytes:
+    """The bytes a block's hash covers: canonical_json({"id", "txns"}).
+    Pass txns_json, the output of encode_txns(txns), to reuse an encoding."""
+    if txns_json is None:
+        txns_json = encode_txns(txns)
+    return f'{{"id":{canonical_json(block_id)},"txns":{txns_json}}}'.encode()
 
 
 def compute_block_hash(prev_hash: str, payload: bytes) -> str:

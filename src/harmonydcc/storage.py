@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -25,10 +25,14 @@ from .core import (
     block_payload,
     canonical_json,
     compute_block_hash,
+    encode_txns,
 )
 
 CHAIN_FILE = "chain.log"
 CHECKPOINT_MARKER = "block_checkpoint_log.json"
+CHECKPOINTS_KEPT = 2
+_DIGEST_BYTES = 256  # state digest elements and sums are 2048-bit
+_DIGEST_MASK = (1 << (8 * _DIGEST_BYTES)) - 1
 
 
 class ChainError(RuntimeError):
@@ -44,24 +48,42 @@ class SnapshotStore:
 
     A read at snapshot b returns the value of the largest version <= b.
     Installs are serialized by block id, and last_committed_block only
-    advances after every version of the block is in place.
+    advances after every version of the block is in place. Reads, visible
+    states and state hashes are answered for blocks from first_block on: a
+    fresh store's start_block, or the checkpoint's base block after
+    from_checkpoint. A store that starts at genesis (-1) holds the empty
+    state for every earlier id as well, since no block precedes genesis.
     """
 
     def __init__(self, start_block: BlockId = -1):
         self._versions: dict[Key, list[tuple[BlockId, int]]] = {}
         self._latest: dict[Key, int] = {}
-        self._sorted_keys: list[Key] = []
-        self._pair_cache: dict[Key, bytes] = {}
+        self._elements: dict[Key, int] = {}  # digest element of each visible pair
+        self._sums: dict[BlockId, int] = {start_block: 0}  # digest sum per block
+        self.first_block: BlockId = start_block
         self.last_committed_block: BlockId = start_block
 
-    def read(self, key: Key, snapshot: BlockId) -> Value:
-        if snapshot > self.last_committed_block:
+    def _materialized(self, block: BlockId) -> BlockId:
+        """The block whose state answers for `block`; raises ContractError
+        outside the blocks this store holds."""
+        if block > self.last_committed_block:
             raise ContractError(
-                f"snapshot {snapshot} not materialized "
+                f"snapshot {block} not materialized "
                 f"(last committed block is {self.last_committed_block})"
             )
+        if block < self.first_block:
+            if self.first_block != -1:
+                raise ContractError(
+                    f"snapshot {block} precedes the store's first block {self.first_block}"
+                )
+            return -1
+        return block
+
+    def read(self, key: Key, snapshot: BlockId) -> Value:
         if snapshot == self.last_committed_block:
             return self._latest.get(key)
+        if snapshot > self.last_committed_block or snapshot < self.first_block:
+            snapshot = self._materialized(snapshot)
         versions = self._versions.get(key)
         if not versions:
             return None
@@ -77,44 +99,54 @@ class SnapshotStore:
             )
         versions = self._versions
         latest = self._latest
-        cache = self._pair_cache
+        elements = self._elements
+        total = self._sums[block - 1]
         for key, value in writes.items():
             slot = versions.get(key)
             if slot is None:
                 versions[key] = [(block, value)]
-                insort(self._sorted_keys, key)
             else:
                 slot.append((block, value))
+                total -= elements[key]
             latest[key] = value
-            cache[key] = f"{key}={value}\n".encode()
+            element = _pair_element(key, value)
+            elements[key] = element
+            total += element
+        self._sums[block] = total & _DIGEST_MASK
         self.last_committed_block = block
 
     def state_hash(self, block: Optional[BlockId] = None) -> str:
-        """SHA-256 over the sorted (key, value) pairs visible at `block` plus
-        the block id itself; identical across replicas iff the visible states
-        are identical."""
+        """Digest of the (key, value) pairs visible at `block` plus the block
+        id itself; identical across replicas iff the visible states are
+        identical.
+
+        The pairs enter through an additive multiset hash (AdHash, Bellare
+        and Micciancio, EUROCRYPT 1997): each pair maps to the 2048-bit
+        SHAKE-256 output of its "key=value" line, and the digest is
+        SHA-256 over the block id and the sum of those elements mod 2^2048.
+        An install subtracts the replaced pair's element and adds the new
+        one, so each block costs O(writes), and every block's sum is kept,
+        so a past block's hash is a lookup. The modulus is wide because
+        Wagner's generalized-birthday attack (CRYPTO 2002) finds colliding
+        multisets for an n-bit AdHash in about 2^(2 sqrt(n)) work: about
+        2^32 at 256 bits, about 2^90 at 2048 bits.
+        """
         if block is None:
             block = self.last_committed_block
-        if block > self.last_committed_block:
-            raise ContractError(f"block {block} not materialized")
-        h = hashlib.sha256()
-        h.update(f"block:{block}\n".encode())
-        if block == self.last_committed_block:
-            h.update(b"".join(map(self._pair_cache.__getitem__, self._sorted_keys)))
-        else:
-            for key in self._sorted_keys:
-                value = self.read(key, block)
-                if value is not None:
-                    h.update(f"{key}={value}\n".encode())
-        return h.hexdigest()
+        total = self._sums[self._materialized(block)]
+        return hashlib.sha256(
+            b"block:%d\n" % block + total.to_bytes(_DIGEST_BYTES, "big")
+        ).hexdigest()
 
     def visible_state(self, block: Optional[BlockId] = None) -> dict[Key, int]:
         if block is None or block == self.last_committed_block:
             return dict(self._latest)
+        block = self._materialized(block)
+        read = self.read
         return {
             key: value
-            for key in self._sorted_keys
-            if (value := self.read(key, block)) is not None
+            for key in self._versions
+            if (value := read(key, block)) is not None
         }
 
     @classmethod
@@ -123,13 +155,20 @@ class SnapshotStore:
     ) -> "SnapshotStore":
         """Rebuild a store holding snapshots base_block and base_block + 1.
 
-        Versions older than the checkpoint are gone; reads below base_block
-        are unsupported after recovery.
+        Versions older than the checkpoint are gone, so reads, visible states
+        and state hashes below base_block raise ContractError.
         """
         store = cls(start_block=base_block - 1)
         store.install_block_writes(base_block, base_state)
         store.install_block_writes(base_block + 1, last_writes)
+        store.first_block = base_block
         return store
+
+
+def _pair_element(key: Key, value: int) -> int:
+    """The digest element of one visible (key, value) pair."""
+    line = f"{key}={value}\n".encode()
+    return int.from_bytes(hashlib.shake_256(line).digest(_DIGEST_BYTES), "big")
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +196,13 @@ class ChainLog:
             raise ChainError(f"expected block {len(self.blocks)}, got {block.id}")
         if block.prev_hash != self.tip_hash:
             raise ChainError(f"block {block.id} prev_hash does not match chain tip")
-        payload = block_payload(block.id, block.txns)
+        txns_json = encode_txns(block.txns)
+        payload = block_payload(block.id, block.txns, txns_json)
         if compute_block_hash(block.prev_hash, payload) != block.hash:
             raise ChainError(f"block {block.id} hash does not match its payload")
         self.blocks.append(block)
         if self._fh is not None:
-            self._fh.write(_block_to_line(block))
+            self._fh.write(_block_to_line(block, txns_json))
             self._fh.write("\n")
             self._fh.flush()
             os.fsync(self._fh.fileno())
@@ -209,15 +249,13 @@ class ChainLog:
         return chain
 
 
-def _block_to_line(block: Block) -> str:
-    return canonical_json(
-        {
-            "id": block.id,
-            "prev_hash": block.prev_hash,
-            "hash": block.hash,
-            "txns": [t.to_obj() for t in block.txns],
-        }
+def _block_to_line(block: Block, txns_json: str) -> str:
+    """canonical_json({"id", "prev_hash", "hash", "txns"}) of the block,
+    with txns_json = encode_txns(block.txns) spliced in unchanged."""
+    head = canonical_json(
+        {"id": block.id, "prev_hash": block.prev_hash, "hash": block.hash}
     )
+    return f'{head[:-1]},"txns":{txns_json}}}'
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +271,8 @@ class Checkpoint:
 
 
 class CheckpointManager:
-    """Writes a full snapshot every p blocks and keeps older checkpoints
-    until the newer one is durably complete."""
+    """Writes a full snapshot every p blocks. Once the marker naming a new
+    checkpoint is durable, it deletes all but the CHECKPOINTS_KEPT newest."""
 
     def __init__(self, directory: str | Path, p: int = 10):
         if p <= 0:
@@ -267,11 +305,17 @@ class CheckpointManager:
         encoded = canonical_json(body)
         checksum = hashlib.sha256(encoded.encode()).hexdigest()
         path = self.directory / f"checkpoint_{block:08d}.json"
-        _atomic_write(path, canonical_json({"checksum": checksum, "body": body}))
+        # canonical_json({"checksum": checksum, "body": body}), built around
+        # the body encoded once
+        _atomic_write(path, f'{{"checksum":"{checksum}","body":{encoded}}}')
         _atomic_write(
             self.directory / CHECKPOINT_MARKER,
             canonical_json({"checkpoint_block": block}),
         )
+        # zero-padded names sort by block; the older of the two kept is the
+        # fallback for a torn write of the newer
+        for stale in sorted(self.directory.glob("checkpoint_*.json"))[:-CHECKPOINTS_KEPT]:
+            stale.unlink()
         return True
 
 

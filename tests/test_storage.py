@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,8 @@ from harmonydcc.core import (
     ReadStep,
     Transaction,
     UpdateStep,
+    block_payload,
+    canonical_json,
     seal_block,
 )
 from harmonydcc.engine import EngineOptions, HarmonyEngine
@@ -82,6 +86,104 @@ def test_historical_state_hash_reconstruction():
     store.install_block_writes(1, {"x": 5, "y": 7})
     assert store.state_hash(0) == h0
     assert store.state_hash(1) != h0
+
+
+def _fresh_hash(state: dict, block: int) -> str:
+    fresh = SnapshotStore(start_block=block - 1)
+    fresh.install_block_writes(block, state)
+    return fresh.state_hash(block)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_incremental_state_hash_equals_rebuilt_hash(seed):
+    """New keys, overwrites, same-value rewrites, empty blocks and a
+    from_checkpoint rebuild part way through: every materialized block's
+    hash equals the hash of a fresh store holding only that block's state."""
+    rng = random.Random(seed)
+    keys = [f"k{i}" for i in range(12)]
+
+    def random_writes(store):
+        if rng.random() < 0.2:
+            return {}
+        writes = {}
+        for key in rng.sample(keys, rng.randint(1, 5)):
+            current = store.read(key, store.last_committed_block)
+            if current is not None and rng.random() < 0.3:
+                writes[key] = current  # rewrite of the same value
+            else:
+                writes[key] = rng.randint(-3, 3)
+        return writes
+
+    store = SnapshotStore()
+    history = []
+    for block in range(25):
+        history.append(random_writes(store))
+        store.install_block_writes(block, history[-1])
+    base = 9
+    rebuilt = SnapshotStore.from_checkpoint(
+        base, store.visible_state(base), history[base + 1]
+    )
+    for block in range(base + 2, 25):
+        rebuilt.install_block_writes(block, history[block])
+    for replica in (store, rebuilt):
+        for block in range(replica.first_block, 25):
+            state = replica.visible_state(block)
+            assert replica.state_hash(block) == _fresh_hash(state, block)
+    for block in range(base, 25):
+        assert rebuilt.state_hash(block) == store.state_hash(block)
+        assert rebuilt.visible_state(block) == store.visible_state(block)
+    assert store.state_hash(-1) == _fresh_hash({}, -1)
+
+
+@pytest.mark.parametrize("base_state", [{"a": 1}, {}])
+def test_recovered_store_rejects_reads_below_its_checkpoint(base_state):
+    store = SnapshotStore.from_checkpoint(5, base_state, {})
+    assert store.read("a", 5) == base_state.get("a") == store.read("a", 6)
+    with pytest.raises(ContractError):
+        store.read("a", 3)
+    with pytest.raises(ContractError):
+        store.visible_state(3)
+    with pytest.raises(ContractError):
+        store.state_hash(3)
+
+
+def test_written_checkpoint_and_log_line_are_canonical_json(tmp_path):
+    """The encode-once writers produce exactly the canonical_json of the
+    dicts that recovery parses."""
+    store = SnapshotStore()
+    store.install_block_writes(0, {"a": 1, "b": 2})
+    store.install_block_writes(1, {"b": 3, "c": 4})
+    engine_state = {"reaches_smaller": [7], "writers_of": {"b": [[7, "x"]]}}
+    assert CheckpointManager(tmp_path, p=1).maybe_checkpoint(
+        store, {"b": 3, "c": 4}, engine_state
+    )
+    body = {
+        "block": 1,
+        "base_state": {"a": 1, "b": 2},
+        "last_writes": {"b": 3, "c": 4},
+        "engine_state": engine_state,
+    }
+    checksum = hashlib.sha256(canonical_json(body).encode()).hexdigest()
+    text = (tmp_path / "checkpoint_00000001.json").read_text()
+    assert text == canonical_json({"checksum": checksum, "body": body})
+
+    txns = (
+        Transaction(0, 0, (ReadStep("a"), UpdateStep("a", "add", -2))),
+        Transaction(1, 0, (UpdateStep("b", "set", 5),)),
+    )
+    block = seal_block(0, txns, GENESIS_PREV_HASH)
+    assert block_payload(0, txns) == canonical_json(
+        {"id": 0, "txns": [t.to_obj() for t in txns]}
+    ).encode()
+    chain = ChainLog(tmp_path / "chain.log")
+    chain.append_block(block)
+    chain.close()
+    assert (tmp_path / "chain.log").read_text() == canonical_json({
+        "id": 0,
+        "prev_hash": GENESIS_PREV_HASH,
+        "hash": block.hash,
+        "txns": [t.to_obj() for t in txns],
+    }) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +376,14 @@ def test_checkpoint_preserves_previous_files(tmp_path):
     assert (tmp_path / "checkpoint_00000020.json").exists()
     marker = json.loads((tmp_path / "block_checkpoint_log.json").read_text())
     assert marker == {"checkpoint_block": 20}
+
+
+def test_checkpoint_keeps_only_the_two_newest(tmp_path):
+    _run_replica(tmp_path, 45, p=10)
+    assert sorted(p.name for p in tmp_path.glob("checkpoint_*.json")) == [
+        "checkpoint_00000030.json",
+        "checkpoint_00000040.json",
+    ]
 
 
 def test_replayed_log_reproduces_per_block_hashes(tmp_path):
