@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -228,24 +229,10 @@ class ChainLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "ChainLog":
-        """Parse a log file without verifying links (see verify_chain)."""
+        """Parse and decode a log file without verifying links (see
+        verify_chain)."""
         chain = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    block = Block(
-                        id=obj["id"],
-                        txns=tuple(Transaction.from_obj(t) for t in obj["txns"]),
-                        prev_hash=obj["prev_hash"],
-                        hash=obj["hash"],
-                    )
-                except (ValueError, KeyError) as exc:
-                    raise ChainError(f"corrupt log line {lineno}: {exc}") from exc
-                chain.blocks.append(block)
+        chain.blocks = [line.decode() for line in _read_log(path)]
         return chain
 
 
@@ -256,6 +243,66 @@ def _block_to_line(block: Block, txns_json: str) -> str:
         {"id": block.id, "prev_hash": block.prev_hash, "hash": block.hash}
     )
     return f'{head[:-1]},"txns":{txns_json}}}'
+
+
+_TXNS_FIELD = ',"txns":'
+
+
+@dataclass(frozen=True)
+class _LogLine:
+    """One chain.log line split as _block_to_line writes it: the parsed
+    head and the transactions' JSON text exactly as stored."""
+
+    lineno: int
+    id: BlockId
+    prev_hash: str
+    hash: str
+    txns_json: str
+
+    def hash_matches(self) -> bool:
+        payload = block_payload(self.id, None, self.txns_json)
+        return compute_block_hash(self.prev_hash, payload) == self.hash
+
+    def txns_obj(self) -> list:
+        """The txns text parsed; ChainError if it is not valid JSON."""
+        try:
+            return json.loads(self.txns_json)
+        except ValueError as exc:
+            raise ChainError(f"corrupt log line {self.lineno}: {exc}") from exc
+
+    def decode(self) -> Block:
+        try:
+            txns = tuple(Transaction.from_obj(t) for t in self.txns_obj())
+        except KeyError as exc:
+            raise ChainError(f"corrupt log line {self.lineno}: {exc}") from exc
+        return Block(id=self.id, txns=txns, prev_hash=self.prev_hash, hash=self.hash)
+
+
+def _read_log(path: str | Path) -> list[_LogLine]:
+    """Split every line of a log file into its head and its txns text,
+    leaving the transactions undecoded. A line not of the form
+    {<head>,"txns":<txns>} raises ChainError."""
+    lines = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh):
+            line = line.strip()
+            if not line:
+                continue
+            cut = line.find(_TXNS_FIELD)
+            try:
+                if cut < 0 or not line.endswith("}"):
+                    raise ValueError("not a block line")
+                head = json.loads(line[:cut] + "}")
+                lines.append(_LogLine(
+                    lineno=lineno,
+                    id=head["id"],
+                    prev_hash=head["prev_hash"],
+                    hash=head["hash"],
+                    txns_json=line[cut + len(_TXNS_FIELD) : -1],
+                ))
+            except (ValueError, KeyError) as exc:
+                raise ChainError(f"corrupt log line {lineno}: {exc}") from exc
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -328,26 +375,36 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+# the file text maybe_checkpoint writes around the body it encoded once
+_CHECKPOINT_FILE = re.compile(
+    rb'\{"checksum":"(?P<checksum>[0-9a-f]{64})","body":(?P<body>.*)\}', re.DOTALL
+)
+
+
 def _read_checkpoint_file(path: Path) -> Optional[Checkpoint]:
+    """The checkpoint stored in `path`, or None when the file is not
+    {"checksum":"<hex>","body":<body>} with the checksum of the body's
+    bytes as stored, or the body lacks a checkpoint's fields."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.loads(fh.read())
-        body = obj["body"]
-        if hashlib.sha256(canonical_json(body).encode()).hexdigest() != obj["checksum"]:
+        match = _CHECKPOINT_FILE.fullmatch(path.read_bytes())
+        if match is None:
             return None
+        if hashlib.sha256(match["body"]).hexdigest() != match["checksum"].decode():
+            return None
+        body = json.loads(match["body"])
         return Checkpoint(
             block=body["block"],
             base_state=dict(body["base_state"]),
             last_writes=dict(body["last_writes"]),
             engine_state=body["engine_state"],
         )
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError, KeyError, TypeError):
         return None
 
 
 def load_latest_checkpoint(directory: str | Path) -> Optional[Checkpoint]:
-    """Newest complete checkpoint; an interrupted write falls back to the
-    previous one."""
+    """Newest complete checkpoint; an interrupted or otherwise invalid
+    write falls back to the previous one."""
     directory = Path(directory)
     candidates = sorted(directory.glob("checkpoint_*.json"), reverse=True)
     marker = directory / CHECKPOINT_MARKER
@@ -359,7 +416,7 @@ def load_latest_checkpoint(directory: str | Path) -> Optional[Checkpoint]:
             if preferred in candidates:
                 candidates.remove(preferred)
                 candidates.insert(0, preferred)
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, TypeError):
             pass
     for path in candidates:
         checkpoint = _read_checkpoint_file(path)
@@ -375,7 +432,6 @@ def load_latest_checkpoint(directory: str | Path) -> Optional[Checkpoint]:
 @dataclass
 class RecoveredReplica:
     store: SnapshotStore
-    chain: ChainLog
     engine: object
     last_block: BlockId
     state_hashes: dict[BlockId, str] = field(default_factory=dict)
@@ -389,29 +445,35 @@ def recover(
     after it.
 
     build_engine(store, engine_state) must return an engine whose
-    process_block replays deterministically. Raises RecoveryError when the
-    log is missing blocks after the checkpoint, when a block's prev_hash
-    does not match the recorded hash of the block before it, or when a
-    replayed block's payload does not match its hash. Payloads of blocks up
-    to the checkpoint are not re-hashed: their state comes from the
-    checksummed checkpoint, not from the log.
+    process_block replays deterministically. Every logged block is checked
+    before anything is replayed: its id against its position, its prev_hash
+    against the recorded hash of the block before it, and its hash against
+    its payload bytes as stored. A line that is not valid JSON raises
+    ChainError; a failed check, or a log that ends at or before the
+    checkpoint, raises RecoveryError naming the block. Only the blocks
+    after the checkpoint are decoded into transactions.
     """
     directory = Path(directory)
     chain_path = directory / CHAIN_FILE
     if not chain_path.exists():
         raise RecoveryError(f"no chain log at {chain_path}")
-    chain = ChainLog.load(chain_path)
+    lines = _read_log(chain_path)
     prev_hash = GENESIS_PREV_HASH
-    for block in chain.blocks:
-        if block.prev_hash != prev_hash:
-            raise RecoveryError(f"block {block.id}: broken prev_hash link")
-        prev_hash = block.hash
+    for position, line in enumerate(lines):
+        if line.id != position:
+            raise RecoveryError(f"log gap: expected block {position}, found {line.id}")
+        if line.prev_hash != prev_hash:
+            raise RecoveryError(f"block {line.id}: broken prev_hash link")
+        if not line.hash_matches():
+            line.txns_obj()  # a line torn inside its txns is corrupt, not tampered
+            raise RecoveryError(f"block {line.id}: payload does not match its hash")
+        prev_hash = line.hash
     checkpoint = load_latest_checkpoint(directory)
     if checkpoint is not None:
-        if len(chain.blocks) <= checkpoint.block:
+        if len(lines) <= checkpoint.block:
             raise RecoveryError(
                 f"log truncated: checkpoint at block {checkpoint.block} but the "
-                f"log ends at block {len(chain.blocks) - 1}"
+                f"log ends at block {len(lines) - 1}"
             )
         store = SnapshotStore.from_checkpoint(
             checkpoint.block - 1, checkpoint.base_state, checkpoint.last_writes
@@ -422,18 +484,10 @@ def recover(
         engine_state = None
     engine = build_engine(store, engine_state)
     recovered = RecoveredReplica(
-        store=store, chain=chain, engine=engine, last_block=store.last_committed_block
+        store=store, engine=engine, last_block=store.last_committed_block
     )
-    for block in chain.blocks[store.last_committed_block + 1 :]:
-        if block.id != store.last_committed_block + 1:
-            raise RecoveryError(
-                f"log gap: expected block {store.last_committed_block + 1}, "
-                f"found {block.id}"
-            )
-        payload = block_payload(block.id, block.txns)
-        if compute_block_hash(block.prev_hash, payload) != block.hash:
-            raise RecoveryError(f"block {block.id}: payload does not match its hash")
-        engine.process_block(block)
-        recovered.state_hashes[block.id] = store.state_hash()
+    for line in lines[store.last_committed_block + 1 :]:
+        engine.process_block(line.decode())
+        recovered.state_hashes[line.id] = store.state_hash()
     recovered.last_block = store.last_committed_block
     return recovered

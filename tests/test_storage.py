@@ -304,6 +304,34 @@ def test_recover_falls_back_when_checkpoint_interrupted(tmp_path):
     assert recovered.store.state_hash() == pre_crash[-1]
 
 
+_BODY_NOT_AN_OBJECT = '{"checksum":"%s","body":[1,2]}' % hashlib.sha256(b"[1,2]").hexdigest()
+
+
+@pytest.mark.parametrize(
+    "content", ["[1,2]", '"str"', _BODY_NOT_AN_OBJECT], ids=["list", "str", "body-list"]
+)
+def test_recover_falls_back_when_checkpoint_is_not_a_checkpoint(tmp_path, content):
+    _, replica = _run_replica(tmp_path, 25, p=10)
+    pre_crash = list(replica.state_hashes)
+    (tmp_path / "checkpoint_00000020.json").write_text(content)
+    assert load_latest_checkpoint(tmp_path).block == 10
+    recovered = recover(tmp_path, _harmony_builder)
+    assert min(recovered.state_hashes) == 11
+    assert recovered.store.state_hash() == pre_crash[-1]
+
+
+@pytest.mark.parametrize(
+    "content", ["[1,2]", '{"checkpoint_block":null}'], ids=["list", "null-block"]
+)
+def test_recover_ignores_a_marker_that_names_no_checkpoint(tmp_path, content):
+    _, replica = _run_replica(tmp_path, 25, p=10)
+    pre_crash = list(replica.state_hashes)
+    (tmp_path / "block_checkpoint_log.json").write_text(content)
+    recovered = recover(tmp_path, _harmony_builder)
+    assert min(recovered.state_hashes) == 21  # the newest file by name
+    assert recovered.store.state_hash() == pre_crash[-1]
+
+
 def test_recover_without_any_checkpoint_replays_from_genesis(tmp_path):
     _, replica = _run_replica(tmp_path, 6, p=10)
     pre_crash = list(replica.state_hashes)
@@ -368,6 +396,64 @@ def test_recover_rejects_broken_link_before_checkpoint(tmp_path):
     _rewrite_line(tmp_path, lines, 5, break_link)
     with pytest.raises(RecoveryError, match="block 5"):
         recover(tmp_path, _harmony_builder)
+
+
+def test_recover_rejects_tampered_payload_before_checkpoint(tmp_path):
+    """Blocks up to the checkpoint are not replayed, but their stored
+    payloads are still checked against their hashes."""
+    lines = _one_add_per_block_log(tmp_path)
+
+    def set_operand(record):
+        record["txns"][0]["steps"][0][3] = 999
+
+    _rewrite_line(tmp_path, lines, 5, set_operand)
+    with pytest.raises(RecoveryError, match="block 5"):
+        recover(tmp_path, _harmony_builder)
+
+
+@pytest.mark.parametrize("cut", ["inside a step", "after a transaction"])
+def test_recover_rejects_line_torn_inside_txns_before_checkpoint(tmp_path, cut):
+    lines = _one_add_per_block_log(tmp_path)
+    line = lines[5]
+    if cut == "inside a step":
+        lines[5] = line[: line.index('"add"')]
+    else:  # the torn line still ends in "}"
+        lines[5] = line[: -len("]}")]
+        assert lines[5].endswith("}")
+    (tmp_path / "chain.log").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ChainError, match="line 5"):
+        recover(tmp_path, _harmony_builder)
+
+
+def _count_decoded_blocks(monkeypatch) -> list[int]:
+    """Patch Transaction.from_obj to record the block of every decoded
+    transaction."""
+    decoded = []
+    from_obj = Transaction.from_obj
+
+    def counting(obj):
+        decoded.append(obj["block"])
+        return from_obj(obj)
+
+    monkeypatch.setattr(Transaction, "from_obj", staticmethod(counting))
+    return decoded
+
+
+def test_recover_decodes_only_the_blocks_it_replays(tmp_path, monkeypatch):
+    _, replica = _run_replica(tmp_path, 25, p=10)
+    decoded = _count_decoded_blocks(monkeypatch)
+    recovered = recover(tmp_path, _harmony_builder)
+    assert sorted(set(decoded)) == [21, 22, 23, 24]
+    assert len(decoded) == 4 * 5
+    assert recovered.store.state_hash() == replica.state_hashes[-1]
+
+
+def test_recover_without_checkpoint_decodes_every_block(tmp_path, monkeypatch):
+    _run_replica(tmp_path, 6, p=10)
+    decoded = _count_decoded_blocks(monkeypatch)
+    recover(tmp_path, _harmony_builder)
+    assert sorted(set(decoded)) == list(range(6))
+    assert len(decoded) == 6 * 5
 
 
 def test_checkpoint_preserves_previous_files(tmp_path):
