@@ -289,18 +289,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "compare":
         print(compare(args.files))
         return 0
-    configs = _grid(args)
-    if any(
-        (c.inter_block or not c.update_optim) and c.engine != "harmony"
-        for c in configs
-    ):
-        parser.error("--inter-block / --no-update-optim only apply to --engine harmony")
     try:
+        configs = _grid(args)
+        if any(
+            (c.inter_block or not c.update_optim) and c.engine != "harmony"
+            for c in configs
+        ):
+            parser.error(
+                "--inter-block / --no-update-optim only apply to --engine harmony"
+            )
         outcomes = [run_experiment(c) for c in configs]
     except OracleViolation as exc:
         print(f"oracle violation: {exc}", file=sys.stderr)
         return 2
-    except (ContractError, ReplicaDivergence) as exc:
+    except (OSError, ContractError, ReplicaDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = [row for _, row in outcomes]

@@ -1,12 +1,13 @@
 """Abort-minimizing deterministic concurrency control engine.
 
 Each block is processed in two steps. The simulation step runs every
-transaction against the same block snapshot, recording reads and collecting
-update commands into a per-key reservation table. The commit step resolves
-read/write dependencies, aborts transactions caught in the dangerous
-read-dependency pattern, orders the surviving update commands per key by
-ascending min_out (ties by TID), coalesces them, and installs the block's
-writes.
+transaction against the same block snapshot, recording its reads and its
+pre-coalesced update command per key, and indexes the block's readers and
+writers of every key as it goes. The reservation table is that writer index
+plus each writer's command. The commit step resolves read/write
+dependencies, aborts transactions caught in the dangerous read-dependency
+pattern, orders the surviving update commands per key by ascending min_out
+(ties by TID), coalesces them, and installs the block's writes.
 
 min_out(j) is the smallest TID of a transaction whose write T_j read the
 before-image of, when that TID is below j (else j + 1); max_in(j) is the
@@ -103,10 +104,9 @@ class BlockExecution:
     block: Block
     snapshot: BlockId
     reads: dict[Tid, tuple[ReadRecord, ...]] = field(default_factory=dict)
-    # per transaction, its commands keyed in first-update order
+    # per transaction, its pre-coalesced command per key, in first-update order
     commands: dict[Tid, dict[Key, Command]] = field(default_factory=dict)
-    # per key, (tid, command) in ascending TID order
-    reservation: dict[Key, list[tuple[Tid, Command]]] = field(default_factory=dict)
+    # per key, the TIDs that read it / wrote it, ascending and without repeats
     readers_of: dict[Key, list[Tid]] = field(default_factory=dict)
     writers_of: dict[Key, list[Tid]] = field(default_factory=dict)
     dep_states: dict[Tid, DependencyState] = field(default_factory=dict)
@@ -132,7 +132,6 @@ class _Carryover:
     """What the next block's commit step may consult about this block."""
 
     writers_of: dict[Key, list[Tid]]  # committed writers only
-    readers_of: dict[Key, list[Tid]]  # committed readers only
     reaches_smaller: frozenset[Tid]  # committed txns with an rw edge to a lower TID
 
 
@@ -150,12 +149,14 @@ class HarmonyEngine:
         """Run every transaction of the block against the same snapshot.
 
         Transactions run in block order, which is ascending TID order (the
-        sequencer assigns TIDs in arrival order), so each key's reservation
-        lists its writers by ascending TID.
+        sequencer assigns TIDs in arrival order), so appending each TID to
+        the readers and writers of the keys it touches, unless it is already
+        the last entry, lists them ascending and without repeats.
         """
         exec_ = BlockExecution(block=block, snapshot=snapshot)
         store = self.store
-        reservation = exec_.reservation
+        readers_of = exec_.readers_of
+        writers_of = exec_.writers_of
 
         def read(key: Key):
             return store.read(key, snapshot)
@@ -163,26 +164,21 @@ class HarmonyEngine:
         for txn in block.txns:
             tid = txn.tid
             raw_reads, commands, _ = execute_program(tid, txn.steps, read)
-            exec_.reads[tid] = tuple(
-                ReadRecord(key, snapshot, observed, own)
-                for key, observed, own in raw_reads
-            )
+            records = []
+            for key, observed, own in raw_reads:
+                records.append(ReadRecord(key, snapshot, observed, own))
+                readers = readers_of.setdefault(key, [])
+                if not readers or readers[-1] != tid:
+                    readers.append(tid)
+            exec_.reads[tid] = tuple(records)
             exec_.commands[tid] = commands
-            for key, command in commands.items():
-                reservation.setdefault(key, []).append((tid, command))
+            for key in commands:
+                writers_of.setdefault(key, []).append(tid)
         return exec_
 
     # -- dependency resolution ----------------------------------------------
 
     def resolve_dependencies(self, exec_: BlockExecution) -> None:
-        readers_of: dict[Key, set[Tid]] = {}
-        for tid, records in exec_.reads.items():
-            for record in records:
-                readers_of.setdefault(record.key, set()).add(tid)
-        exec_.readers_of = {k: sorted(v) for k, v in readers_of.items()}
-        exec_.writers_of = {
-            key: [t for t, _ in entries] for key, entries in exec_.reservation.items()
-        }
         tids = [t.tid for t in exec_.block.txns]
         exec_.dep_states, exec_.handler_calls = resolve_rw_states(
             tids, exec_.readers_of, exec_.writers_of
@@ -194,8 +190,8 @@ class HarmonyEngine:
         """Generalized abort policy over intra-block rw edges plus
         dependencies against the previous in-flight block.
 
-        With no inter-block dependencies this reduces exactly to the plain
-        validation rule.
+        Without a previous block, as always in intra-block mode, this is
+        exactly the plain validation rule.
         """
         prev = self._prev
         aborts: set[Tid] = set()
@@ -236,17 +232,18 @@ class HarmonyEngine:
         order of every written key."""
         store = self.store
         dep = exec_.dep_states
+        commands = exec_.commands
         base_block = exec_.block.id - 1
         writes: dict[Key, int] = {}
         applied_order: dict[Key, tuple[Tid, ...]] = {}
-        for key, entries in exec_.reservation.items():
-            survivors = [(t, cmd) for t, cmd in entries if t in committed]
+        for key, writers in exec_.writers_of.items():
+            survivors = [t for t in writers if t in committed]
             if not survivors:
                 continue
-            survivors.sort(key=lambda item: (dep[item[0]].min_out, item[0]))
-            composed = compose([cmd for _, cmd in survivors])
+            survivors.sort(key=lambda t: (dep[t].min_out, t))
+            composed = compose([commands[t][key] for t in survivors])
             writes[key] = apply_command(composed, store.read(key, base_block))
-            applied_order[key] = tuple(t for t, _ in survivors)
+            applied_order[key] = tuple(survivors)
         return writes, applied_order
 
     # -- orchestration ------------------------------------------------------
@@ -260,12 +257,7 @@ class HarmonyEngine:
         snapshot = block.id - (2 if self.options.inter_block else 1)
         exec_ = self.simulate(block, snapshot)
         self.resolve_dependencies(exec_)
-        if self.options.inter_block:
-            hits = self.enhanced_validate(exec_)
-        else:
-            hits = {
-                tid for tid, state in exec_.dep_states.items() if validate(state)
-            }
+        hits = self.enhanced_validate(exec_)
         aborted = set(hits)
         if not self.options.update_optim:
             aborted |= self._ww_losers(exec_)
@@ -273,7 +265,7 @@ class HarmonyEngine:
         writes, applied_order = self.apply_write_sets(exec_, committed)
         self.store.install_block_writes(block.id, writes)
         if self.options.inter_block:
-            self._prev = self._carryover(exec_, committed)
+            self._prev = self._carryover(exec_, committed, applied_order)
         return BlockResult(
             block_id=block.id,
             snapshot=snapshot,
@@ -288,7 +280,10 @@ class HarmonyEngine:
         )
 
     def _carryover(
-        self, exec_: BlockExecution, committed: frozenset[Tid]
+        self,
+        exec_: BlockExecution,
+        committed: frozenset[Tid],
+        applied_order: dict[Key, tuple[Tid, ...]],
     ) -> _Carryover:
         prev = self._prev
         reaches: set[Tid] = set()
@@ -300,16 +295,7 @@ class HarmonyEngine:
             ):
                 reaches.add(tid)
         return _Carryover(
-            writers_of={
-                key: [t for t in writers if t in committed]
-                for key, writers in exec_.writers_of.items()
-                if any(t in committed for t in writers)
-            },
-            readers_of={
-                key: [t for t in readers if t in committed]
-                for key, readers in exec_.readers_of.items()
-                if any(t in committed for t in readers)
-            },
+            writers_of={key: sorted(tids) for key, tids in applied_order.items()},
             reaches_smaller=frozenset(reaches),
         )
 
@@ -320,7 +306,6 @@ class HarmonyEngine:
             return None
         return {
             "writers_of": {k: list(v) for k, v in self._prev.writers_of.items()},
-            "readers_of": {k: list(v) for k, v in self._prev.readers_of.items()},
             "reaches_smaller": sorted(self._prev.reaches_smaller),
         }
 
@@ -330,6 +315,5 @@ class HarmonyEngine:
             return
         self._prev = _Carryover(
             writers_of={k: list(v) for k, v in state["writers_of"].items()},
-            readers_of={k: list(v) for k, v in state["readers_of"].items()},
             reaches_smaller=frozenset(state["reaches_smaller"]),
         )

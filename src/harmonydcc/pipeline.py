@@ -122,7 +122,12 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ContractError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ContractError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

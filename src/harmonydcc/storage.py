@@ -227,14 +227,6 @@ class ChainLog:
             self._fh.close()
             self._fh = None
 
-    @classmethod
-    def load(cls, path: str | Path) -> "ChainLog":
-        """Parse and decode a log file without verifying links (see
-        verify_chain)."""
-        chain = cls()
-        chain.blocks = [line.decode() for line in _read_log(path)]
-        return chain
-
 
 def _block_to_line(block: Block, txns_json: str) -> str:
     """canonical_json({"id", "prev_hash", "hash", "txns"}) of the block,

@@ -46,10 +46,6 @@ class ZipfSampler:
         u = self._rng.random() * self.total_mass
         return bisect_right(self._cumulative, u)
 
-    def mass(self, rank: int) -> float:
-        """Closed-form probability of the given rank."""
-        return (1.0 / (rank + 1) ** self.theta) / self.total_mass
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -70,47 +66,32 @@ def _key(rank: int) -> str:
 
 def gen_ycsb(spec: WorkloadSpec, count: int) -> list[Program]:
     """Point reads and additive updates over a Zipf-skewed keyspace, with
-    ops_per_txn operations per transaction."""
-    rng = random.Random(spec.seed)
-    zipf = ZipfSampler(spec.keys, spec.theta, rng)
-    return [_ycsb_program(spec, rng, zipf) for _ in range(count)]
+    ops_per_txn operations per transaction.
 
-
-def _ycsb_program(spec: WorkloadSpec, rng: random.Random, zipf: ZipfSampler) -> Program:
-    steps: list[Step] = []
-    for _ in range(spec.ops_per_txn):
-        key = _key(zipf.sample())
-        if rng.random() < spec.read_ratio:
-            steps.append(ReadStep(key))
-        else:
-            steps.append(UpdateStep(key, "add", rng.randint(1, 10)))
-    return tuple(steps)
-
-
-def gen_hotspot(spec: WorkloadSpec, count: int) -> list[Program]:
-    """YCSB variant where each operation targets a hotspot key with
-    probability hotspot_prob. A hotspot read-modify-write is emitted as a
-    single add command (the fused form), so it induces no read dependency.
-    With hotspot_prob = 0 the stream is bit-identical to gen_ycsb.
+    For kind "hotspot", each operation instead targets, with probability
+    hotspot_prob, one of the hotspot keys: the lowest hotspot_fraction of
+    the ranks, which are also the hottest under skew. A hotspot
+    read-modify-write is emitted as a single add command (the fused form),
+    so it induces no read dependency. Other kinds ignore hotspot_prob, and
+    with hotspot_prob = 0 the hotspot stream is the ycsb stream.
     """
-    if spec.hotspot_prob == 0.0:
-        return gen_ycsb(spec, count)
     rng = random.Random(spec.seed)
     zipf = ZipfSampler(spec.keys, spec.theta, rng)
+    hot_prob = spec.hotspot_prob if spec.kind == "hotspot" else 0.0
     hot_count = max(1, round(spec.keys * spec.hotspot_fraction))
     programs = []
     for _ in range(count):
         steps: list[Step] = []
         for _ in range(spec.ops_per_txn):
-            if rng.random() < spec.hotspot_prob:
+            if hot_prob > 0.0 and rng.random() < hot_prob:
                 hot = rng.randrange(hot_count)
                 steps.append(UpdateStep(_key(hot), "add", rng.randint(1, 10)))
+                continue
+            key = _key(zipf.sample())
+            if rng.random() < spec.read_ratio:
+                steps.append(ReadStep(key))
             else:
-                key = _key(zipf.sample())
-                if rng.random() < spec.read_ratio:
-                    steps.append(ReadStep(key))
-                else:
-                    steps.append(UpdateStep(key, "add", rng.randint(1, 10)))
+                steps.append(UpdateStep(key, "add", rng.randint(1, 10)))
         programs.append(tuple(steps))
     return programs
 
@@ -231,10 +212,8 @@ _SMALLBANK_BUILDERS = {
 
 
 def generate(spec: WorkloadSpec, count: int) -> list[Program]:
-    if spec.kind == "ycsb":
+    if spec.kind in ("ycsb", "hotspot"):
         return gen_ycsb(spec, count)
     if spec.kind == "smallbank":
         return gen_smallbank(spec, count)
-    if spec.kind == "hotspot":
-        return gen_hotspot(spec, count)
     raise ContractError(f"unknown workload kind {spec.kind!r}")

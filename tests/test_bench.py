@@ -229,3 +229,18 @@ def test_config_file_supplies_defaults(tmp_path):
     rows = list(csv.DictReader(open(out)))
     assert rows[0]["engine"] == "aria"
     assert rows[0]["block_size"] == "10"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", "null", "[1]"],
+    ids=["missing", "invalid-json", "null", "list"],
+)
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "run.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["run", "--config", str(path), "--txns", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -202,7 +202,7 @@ def test_repeat_updates_reserve_one_command_per_txn():
     store = SnapshotStore()
     engine = HarmonyEngine(store)
     exec_ = engine.simulate(blocks[0], -1)
-    assert len(exec_.reservation["x"]) == 1
+    assert exec_.writers_of["x"] == [1]
     engine.resolve_dependencies(exec_)
     result = engine.process_block(blocks[0])
     assert result.writes == {"x": 3}

@@ -1,0 +1,195 @@
+"""Pinned behaviour of every engine configuration.
+
+Each of the 63 configurations (seven engine settings x three workloads x
+three skews) runs one fixed stream on one replica. Its digest covers every
+BlockResult field of every block plus the per-block state hash row, so a
+change to any commit or abort decision, installed value, applied order,
+read record, command, structure hit or handler count shows up here. A
+change that alters a digest on purpose names the configuration and says
+why.
+"""
+import hashlib
+import json
+
+import pytest
+
+from harmonydcc.core import canonical_json
+from harmonydcc.engine import EngineOptions, HarmonyEngine
+from harmonydcc.pipeline import Replica, RunConfig, make_blocks, run_replicas
+from harmonydcc.storage import recover
+from harmonydcc.workloads import WorkloadSpec, generate
+
+ENGINE_SETTINGS = {
+    "harmony-intra": dict(engine="harmony"),
+    "harmony-intra-no-optim": dict(engine="harmony", update_optim=False),
+    "harmony-inter": dict(engine="harmony", inter_block=True),
+    "harmony-inter-no-optim": dict(engine="harmony", inter_block=True, update_optim=False),
+    "fabric": dict(engine="fabric"),
+    "aria": dict(engine="aria"),
+    "serial": dict(engine="serial"),
+}
+WORKLOADS = ("ycsb", "smallbank", "hotspot")
+THETAS = (0.0, 0.6, 0.99)
+TXNS = 500
+KEYS = 300
+BLOCK_SIZE = 25
+
+
+def _blocks(workload: str, theta: float):
+    # hotspot_prob is set for every kind: ycsb and smallbank ignore it
+    spec = WorkloadSpec(
+        kind=workload, keys=KEYS, ops_per_txn=6, theta=theta, hotspot_prob=0.1, seed=17
+    )
+    return make_blocks(generate(spec, TXNS), BLOCK_SIZE)
+
+
+def _canonical_result(result) -> dict:
+    return {
+        "block_id": result.block_id,
+        "snapshot": result.snapshot,
+        "committed": sorted(result.committed),
+        "aborted": sorted(result.aborted),
+        "writes": sorted(result.writes.items()),
+        "applied_order": sorted(result.applied_order.items()),
+        "structure_hits": sorted(result.structure_hits),
+        "reads": sorted(result.reads.items()),
+        "commands": sorted(
+            (tid, sorted(cmds.items())) for tid, cmds in result.commands.items()
+        ),
+        "handler_calls": result.handler_calls,
+    }
+
+
+def config_digest(setting: str, workload: str, theta: float) -> str:
+    config = RunConfig(replicas=1, block_size=BLOCK_SIZE, **ENGINE_SETTINGS[setting])
+    outcome = run_replicas(_blocks(workload, theta), config)
+    doc = {
+        "results": [_canonical_result(r) for r in outcome.results[0]],
+        "hashes": outcome.hash_matrix[0],
+    }
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
+
+
+EXPECTED = {
+    "harmony-intra/ycsb/0": "f3b0c89f11b92c41",
+    "harmony-intra/ycsb/0.6": "779d278b1d00bd3d",
+    "harmony-intra/ycsb/0.99": "1c26612d951bb500",
+    "harmony-intra/smallbank/0": "d2af5e3a38df8f7f",
+    "harmony-intra/smallbank/0.6": "f012b6f081694a80",
+    "harmony-intra/smallbank/0.99": "19a09dc273fcdf31",
+    "harmony-intra/hotspot/0": "0cd2f478ab326c2a",
+    "harmony-intra/hotspot/0.6": "581a1903e5eab445",
+    "harmony-intra/hotspot/0.99": "4d3f0b5614d32c22",
+    "harmony-intra-no-optim/ycsb/0": "0f7a59c980d75a70",
+    "harmony-intra-no-optim/ycsb/0.6": "bfb58379fcf5237e",
+    "harmony-intra-no-optim/ycsb/0.99": "9d21e322c3f76dcd",
+    "harmony-intra-no-optim/smallbank/0": "502cd6622e3c7f55",
+    "harmony-intra-no-optim/smallbank/0.6": "24907387661af058",
+    "harmony-intra-no-optim/smallbank/0.99": "c0aeee4e4a205fe3",
+    "harmony-intra-no-optim/hotspot/0": "7bc38f37bbbd2ce4",
+    "harmony-intra-no-optim/hotspot/0.6": "25ea8707fcfb9522",
+    "harmony-intra-no-optim/hotspot/0.99": "e05a295d59cbeff6",
+    "harmony-inter/ycsb/0": "0be2e40f883a5576",
+    "harmony-inter/ycsb/0.6": "eb8c97e7d32c7a16",
+    "harmony-inter/ycsb/0.99": "28742759b76784d3",
+    "harmony-inter/smallbank/0": "e20bc09936edb0c9",
+    "harmony-inter/smallbank/0.6": "cfec39bbe5601852",
+    "harmony-inter/smallbank/0.99": "7dec039c3877a5e7",
+    "harmony-inter/hotspot/0": "fb5c0efe9f013029",
+    "harmony-inter/hotspot/0.6": "0bbed3b233472d97",
+    "harmony-inter/hotspot/0.99": "66cbdb81a969b614",
+    "harmony-inter-no-optim/ycsb/0": "e0767c6b7ba66b34",
+    "harmony-inter-no-optim/ycsb/0.6": "06a5496083c438f6",
+    "harmony-inter-no-optim/ycsb/0.99": "20a1a6f946666ec7",
+    "harmony-inter-no-optim/smallbank/0": "e318e64f1bb694d3",
+    "harmony-inter-no-optim/smallbank/0.6": "a88c1c8e07391be1",
+    "harmony-inter-no-optim/smallbank/0.99": "b6f0f914129bc4d1",
+    "harmony-inter-no-optim/hotspot/0": "29d733af6629d692",
+    "harmony-inter-no-optim/hotspot/0.6": "087d592b41f41b1a",
+    "harmony-inter-no-optim/hotspot/0.99": "730544564c9aef23",
+    "fabric/ycsb/0": "b602f822bceb838d",
+    "fabric/ycsb/0.6": "97cb7c6c774d886d",
+    "fabric/ycsb/0.99": "d09e4c23b05398ee",
+    "fabric/smallbank/0": "c93f78228170a891",
+    "fabric/smallbank/0.6": "6f6200d92c64429a",
+    "fabric/smallbank/0.99": "ef475e54e9beba4c",
+    "fabric/hotspot/0": "8096945471e4fe04",
+    "fabric/hotspot/0.6": "7543bbe5d13f64bd",
+    "fabric/hotspot/0.99": "cdd3250b3e46e0de",
+    "aria/ycsb/0": "456ef2e8d3a387cb",
+    "aria/ycsb/0.6": "e424176c4f664736",
+    "aria/ycsb/0.99": "182a10c5be8b6f98",
+    "aria/smallbank/0": "d7dcc4e2e46dc390",
+    "aria/smallbank/0.6": "b7c34293617eb411",
+    "aria/smallbank/0.99": "3d9ad718751a03c7",
+    "aria/hotspot/0": "788afd9a62025a38",
+    "aria/hotspot/0.6": "32ffaf9ed9b6f40b",
+    "aria/hotspot/0.99": "aaf862177e223bef",
+    "serial/ycsb/0": "d9b21cc20f4b73be",
+    "serial/ycsb/0.6": "d39980b432f96709",
+    "serial/ycsb/0.99": "7e972f0e995b209c",
+    "serial/smallbank/0": "f6360d6c90be46e7",
+    "serial/smallbank/0.6": "03d849342c773523",
+    "serial/smallbank/0.99": "da139095e6b95fb5",
+    "serial/hotspot/0": "c968de8ee9eb2f03",
+    "serial/hotspot/0.6": "afec51895839c7ae",
+    "serial/hotspot/0.99": "d640b1a3210b42b1",
+}
+
+
+@pytest.mark.parametrize("setting", ENGINE_SETTINGS)
+def test_engine_behaviour_matches_pinned_digests(setting):
+    got = {
+        f"{setting}/{workload}/{theta:g}": config_digest(setting, workload, theta)
+        for workload in WORKLOADS
+        for theta in THETAS
+    }
+    expected = {k: v for k, v in EXPECTED.items() if k.startswith(setting + "/")}
+    assert got == expected
+
+
+def _inter_builder(store, engine_state):
+    engine = HarmonyEngine(store, EngineOptions(inter_block=True))
+    engine.restore_state(engine_state)
+    return engine
+
+
+def test_checkpoint_with_carryover_readers_still_recovers(tmp_path):
+    """Checkpoints once stored the committed readers of the checkpointed
+    block under engine_state["readers_of"]; nothing reads them, and a
+    checkpoint that still carries them recovers to the original hashes."""
+    blocks = _blocks("ycsb", 0.99)[:14]
+    config = RunConfig(replicas=1, inter_block=True, checkpoint_p=10)
+    replica = Replica(0, config, data_dir=tmp_path)
+    for block in blocks:
+        replica.receive(block)
+    replica.close()
+
+    # the old field: per key read in block 10, its committed readers
+    result = replica.results[10]
+    readers_of: dict[str, set[int]] = {}
+    for tid, records in result.reads.items():
+        for record in records:
+            readers_of.setdefault(record.key, set()).add(tid)
+    committed_readers = {
+        key: sorted(tids & result.committed)
+        for key, tids in readers_of.items()
+        if tids & result.committed
+    }
+    assert committed_readers
+    path = tmp_path / "checkpoint_00000010.json"
+    body = json.loads(path.read_text())["body"]
+    state = body["engine_state"]
+    body["engine_state"] = {
+        "writers_of": state["writers_of"],
+        "readers_of": committed_readers,
+        "reaches_smaller": state["reaches_smaller"],
+    }
+    encoded = canonical_json(body)
+    checksum = hashlib.sha256(encoded.encode()).hexdigest()
+    path.write_text(canonical_json({"checksum": checksum, "body": body}))
+
+    recovered = recover(tmp_path, _inter_builder)
+    assert sorted(recovered.state_hashes) == [11, 12, 13]
+    for block_id, digest in recovered.state_hashes.items():
+        assert digest == replica.state_hashes[block_id]

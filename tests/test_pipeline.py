@@ -126,7 +126,7 @@ def test_config_json_roundtrip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(config.to_json())
     assert RunConfig.from_file(path) == config
-    for text in ('{"bogus": 1}', '{"workers": 2}'):
+    for text in ('{"bogus": 1}', '{"workers": 2}', "null", "[1]", '"x"', "{oops"):
         with pytest.raises(ContractError):
             RunConfig.from_json(text)
 

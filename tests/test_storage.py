@@ -24,6 +24,7 @@ from harmonydcc.storage import (
     CheckpointManager,
     RecoveryError,
     SnapshotStore,
+    _read_log,
     load_latest_checkpoint,
     recover,
 )
@@ -224,39 +225,9 @@ def test_verify_chain_clean_and_roundtrip(tmp_path):
         chain.append_block(block)
     chain.close()
     assert chain.verify_chain() is None
-    reloaded = ChainLog.load(path)
-    assert reloaded.verify_chain() is None
-    assert [b.hash for b in reloaded.blocks] == [b.hash for b in blocks]
-
-
-def test_verify_chain_detects_payload_tamper(tmp_path):
-    blocks = _blocks(12)
-    path = tmp_path / "chain.log"
-    chain = ChainLog(path)
-    for block in blocks:
-        chain.append_block(block)
-    chain.close()
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[7])
-    record["txns"][0]["steps"][0][1] = "kXX"
-    lines[7] = json.dumps(record, separators=(",", ":"))
-    path.write_text("\n".join(lines) + "\n")
-    assert ChainLog.load(path).verify_chain() == 7
-
-
-def test_verify_chain_detects_prev_hash_tamper(tmp_path):
-    blocks = _blocks(15)
-    path = tmp_path / "chain.log"
-    chain = ChainLog(path)
-    for block in blocks:
-        chain.append_block(block)
-    chain.close()
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[12])
-    record["prev_hash"] = "ff" + record["prev_hash"][2:]
-    lines[12] = json.dumps(record, separators=(",", ":"))
-    path.write_text("\n".join(lines) + "\n")
-    assert ChainLog.load(path).verify_chain() == 12
+    lines = _read_log(path)
+    assert all(line.hash_matches() for line in lines)
+    assert [line.decode() for line in lines] == blocks
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +379,36 @@ def test_recover_rejects_tampered_payload_before_checkpoint(tmp_path):
 
     _rewrite_line(tmp_path, lines, 5, set_operand)
     with pytest.raises(RecoveryError, match="block 5"):
+        recover(tmp_path, _harmony_builder)
+
+
+def _log_without_checkpoint(tmp_path: Path, n_blocks: int) -> list[str]:
+    chain = ChainLog(tmp_path / "chain.log")
+    for block in _blocks(n_blocks):
+        chain.append_block(block)
+    chain.close()
+    return (tmp_path / "chain.log").read_text().splitlines()
+
+
+def test_recover_rejects_tampered_payload_without_checkpoint(tmp_path):
+    lines = _log_without_checkpoint(tmp_path, 12)
+
+    def rename_read_key(record):
+        record["txns"][0]["steps"][0][1] = "kXX"
+
+    _rewrite_line(tmp_path, lines, 7, rename_read_key)
+    with pytest.raises(RecoveryError, match="block 7"):
+        recover(tmp_path, _harmony_builder)
+
+
+def test_recover_rejects_broken_link_without_checkpoint(tmp_path):
+    lines = _log_without_checkpoint(tmp_path, 15)
+
+    def break_link(record):
+        record["prev_hash"] = "ff" + record["prev_hash"][2:]
+
+    _rewrite_line(tmp_path, lines, 12, break_link)
+    with pytest.raises(RecoveryError, match="block 12"):
         recover(tmp_path, _harmony_builder)
 
 

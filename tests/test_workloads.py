@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -12,7 +13,6 @@ from harmonydcc.workloads import (
     SMALLBANK_PROCS,
     WorkloadSpec,
     ZipfSampler,
-    gen_hotspot,
     gen_smallbank,
     gen_ycsb,
     generate,
@@ -85,14 +85,17 @@ def test_ycsb_shape():
 
 def test_hotspot_prob_zero_degenerates_to_ycsb():
     spec = WorkloadSpec(kind="hotspot", keys=100, theta=0.3, seed=7, hotspot_prob=0.0)
-    assert gen_hotspot(spec, 40) == gen_ycsb(spec, 40)
+    ycsb = WorkloadSpec(kind="ycsb", keys=100, theta=0.3, seed=7)
+    assert generate(spec, 40) == generate(ycsb, 40)
+    # the ycsb kind ignores hotspot_prob
+    assert generate(dataclasses.replace(ycsb, hotspot_prob=0.5), 40) == generate(ycsb, 40)
 
 
 def test_hotspot_prob_one_emits_only_fused_updates():
     spec = WorkloadSpec(
         kind="hotspot", keys=1000, seed=7, hotspot_prob=1.0, hotspot_fraction=0.01
     )
-    programs = gen_hotspot(spec, 30)
+    programs = generate(spec, 30)
     hot_keys = {f"k{r:05d}" for r in range(10)}
     for program in programs:
         for step in program:
