@@ -1,11 +1,14 @@
 """Baseline validators modeling the abort behavior of other deterministic
 commit protocols, for comparative metrics only.
 
-All three simulate against the previous block's snapshot and store computed
-values rather than commands, so an arithmetic update command counts as a
-read of the key it modifies (the fused read happens at the snapshot value).
-Without those implied reads the value-based protocols would silently commit
-lost updates.
+Fabric and Aria are the engine with update reordering off and a different
+abort rule: they simulate at the previous block's snapshot, and the engine's
+commit step applies each key's committed commands in TID order, installs
+them and reports the block. Both store computed values rather than commands,
+so an arithmetic update command counts as a read of the key it modifies (the
+fused read happens at the snapshot value). Without those implied reads the
+value-based protocols would silently commit lost updates. The serial
+baseline executes against live state and has its own commit step.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ from typing import Optional
 
 from .core import (
     Block,
+    BlockId,
     ContractError,
     Key,
     ReadRecord,
@@ -21,26 +25,27 @@ from .core import (
     execute_program,
     reads_input,
 )
-from .engine import BlockExecution, BlockResult, HarmonyEngine, validate
+from .engine import BlockExecution, BlockResult, EngineOptions, HarmonyEngine
+from .storage import SnapshotStore
 
 BASELINE_KINDS = ("fabric", "aria", "serial")
 
 
 class _SnapshotBaseline(HarmonyEngine):
-    """The engine's simulation and dependency resolution; the subclasses
-    replace only the commit decision."""
+    """The engine without update reordering; the subclasses replace only
+    the abort rule."""
 
-    def _simulate(self, block: Block) -> BlockExecution:
-        """Simulate at the previous block's snapshot, then append one implied
-        read per input-consuming command on a key the program did not read,
-        in first-update order. Dependency states, structure hits and handler
-        calls stay those of the program reads, so they remain a property of
-        the workload rather than of the validator."""
-        if block.id != self.store.last_committed_block + 1:
-            raise ContractError(f"block {block.id} out of order")
-        snapshot = block.id - 1
-        exec_ = self.simulate(block, snapshot)
-        self.resolve_dependencies(exec_)
+    def __init__(self, store: SnapshotStore):
+        super().__init__(store, EngineOptions(update_optim=False))
+
+    def simulate(self, block: Block, snapshot: BlockId) -> BlockExecution:
+        """The engine's simulation, then one implied read per
+        input-consuming command on a key the program did not read, in
+        first-update order. The read index, and so dependency states,
+        structure hits and handler calls, stays that of the program reads,
+        so they remain a property of the workload rather than of the
+        validator."""
+        exec_ = super().simulate(block, snapshot)
         store = self.store
         for tid, commands in exec_.commands.items():
             read_keys = {record.key for record in exec_.reads[tid]}
@@ -53,38 +58,6 @@ class _SnapshotBaseline(HarmonyEngine):
                 exec_.reads[tid] += implied
         return exec_
 
-    def _finish(self, exec_: BlockExecution, aborted: set[Tid]) -> BlockResult:
-        """Evaluate each committed command on the snapshot value in TID
-        order, install the writes and report the block."""
-        block = exec_.block
-        store = self.store
-        committed = frozenset(t.tid for t in block.txns) - aborted
-        writes: dict[Key, int] = {}
-        applied: dict[Key, list[Tid]] = {}
-        for txn in block.txns:
-            if txn.tid not in committed:
-                continue
-            for key, command in exec_.commands[txn.tid].items():
-                writes[key] = apply_command(command, store.read(key, exec_.snapshot))
-                applied.setdefault(key, []).append(txn.tid)
-        store.install_block_writes(block.id, writes)
-        dep = exec_.dep_states
-        return BlockResult(
-            block_id=block.id,
-            snapshot=exec_.snapshot,
-            committed=committed,
-            aborted=frozenset(aborted),
-            writes=writes,
-            applied_order={k: tuple(v) for k, v in applied.items()},
-            structure_hits=frozenset(t for t in dep if validate(dep[t])),
-            reads=exec_.reads,
-            commands=exec_.commands,
-            handler_calls=exec_.handler_calls,
-        )
-
-    def export_state(self) -> Optional[dict]:
-        return None
-
     def restore_state(self, state: Optional[dict]) -> None:
         if state is not None:
             raise ContractError("baseline engines carry no recoverable state")
@@ -95,17 +68,16 @@ class FabricEngine(_SnapshotBaseline):
     aborts iff a key it read was written by a lower-TID transaction already
     committed in the scan. Commits apply serially in TID order."""
 
-    def process_block(self, block: Block) -> BlockResult:
-        exec_ = self._simulate(block)
+    def abort_set(self, exec_: BlockExecution, hits: set[Tid]) -> set[Tid]:
         aborted: set[Tid] = set()
         committed_writes: set[Key] = set()
-        for txn in block.txns:
+        for txn in exec_.block.txns:
             tid = txn.tid
             if any(record.key in committed_writes for record in exec_.reads[tid]):
                 aborted.add(tid)
                 continue
             committed_writes.update(exec_.commands[tid])
-        return self._finish(exec_, aborted)
+        return aborted
 
 
 class AriaEngine(_SnapshotBaseline):
@@ -113,11 +85,10 @@ class AriaEngine(_SnapshotBaseline):
     whose stale read against a surviving lower-TID writer pairs with an
     incoming read dependency. Survivors have disjoint write sets."""
 
-    def process_block(self, block: Block) -> BlockResult:
-        exec_ = self._simulate(block)
+    def abort_set(self, exec_: BlockExecution, hits: set[Tid]) -> set[Tid]:
         ww_losers = self._ww_losers(exec_)
         aborted = set(ww_losers)
-        for txn in block.txns:
+        for txn in exec_.block.txns:
             tid = txn.tid
             if tid in aborted:
                 continue
@@ -135,7 +106,7 @@ class AriaEngine(_SnapshotBaseline):
             )
             if incoming:
                 aborted.add(tid)
-        return self._finish(exec_, aborted)
+        return aborted
 
 
 class SerialEngine(_SnapshotBaseline):

@@ -70,7 +70,6 @@ class ExperimentConfig:
     replicas: int = 1
     inter_block: bool = False
     update_optim: bool = True
-    checkpoint_p: int = 10
     seed: int = 42
     delay_max: float = 0.0
     hotspot_prob: float = 0.5
@@ -98,7 +97,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunMetrics, dict[str, str]
         engine=config.engine,
         inter_block=config.inter_block,
         update_optim=config.update_optim,
-        checkpoint_p=config.checkpoint_p,
     )
     started = time.perf_counter()
     outcome = run_replicas(blocks, run_config)
@@ -218,7 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replicas", type=int)
     run.add_argument("--inter-block", action=argparse.BooleanOptionalAction)
     run.add_argument("--update-optim", action=argparse.BooleanOptionalAction)
-    run.add_argument("--checkpoint-p", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--delay-max", type=float)
     run.add_argument("--hotspot-prob", type=float, default=0.5)
@@ -253,7 +250,6 @@ def _grid(args: argparse.Namespace) -> list[ExperimentConfig]:
                 replicas=pick(args.replicas, base.replicas),
                 inter_block=pick(args.inter_block, base.inter_block),
                 update_optim=pick(args.update_optim, base.update_optim),
-                checkpoint_p=pick(args.checkpoint_p, base.checkpoint_p),
                 seed=pick(args.seed, base.seed if args.config else 42),
                 delay_max=pick(args.delay_max, base.delay_max),
                 hotspot_prob=args.hotspot_prob,

@@ -7,7 +7,10 @@ writers of every key as it goes. The reservation table is that writer index
 plus each writer's command. The commit step resolves read/write
 dependencies, aborts transactions caught in the dangerous read-dependency
 pattern, orders the surviving update commands per key by ascending min_out
-(ties by TID), coalesces them, and installs the block's writes.
+(ties by TID), coalesces them, and installs the block's writes. Which
+transactions abort is one method, `abort_set`; the Fabric- and Aria-style
+baselines override only that method and run with update reordering off, in
+which case the survivors of a key are applied in TID order.
 
 min_out(j) is the smallest TID of a transaction whose write T_j read the
 before-image of, when that TID is below j (else j + 1); max_in(j) is the
@@ -213,6 +216,14 @@ class HarmonyEngine:
                 aborts.add(tid)  # pattern reaches into the previous block
         return aborts
 
+    def abort_set(self, exec_: BlockExecution, hits: set[Tid]) -> set[Tid]:
+        """The transactions the commit step aborts, given the validation
+        hits: the hits themselves, plus every write/write loser when update
+        reordering is off."""
+        if self.options.update_optim:
+            return hits
+        return hits | self._ww_losers(exec_)
+
     def _ww_losers(self, exec_: BlockExecution) -> set[Tid]:
         """Write/write fallback used when update reordering is disabled:
         every writer of a key except the lowest TID aborts."""
@@ -226,21 +237,24 @@ class HarmonyEngine:
     def apply_write_sets(
         self, exec_: BlockExecution, committed: frozenset[Tid]
     ) -> tuple[dict[Key, int], dict[Key, tuple[Tid, ...]]]:
-        """Per key, order the committed commands by ascending (min_out, tid),
-        coalesce them into one command and evaluate it once on the state
-        left by the previous block. Returns the writes and the applied
-        order of every written key."""
+        """Per key, order the committed commands by ascending (min_out, tid)
+        when update reordering is on, else keep them in TID order; coalesce
+        them into one command and evaluate it once on the state left by the
+        previous block. Returns the writes and the applied order of every
+        written key."""
         store = self.store
         dep = exec_.dep_states
         commands = exec_.commands
         base_block = exec_.block.id - 1
+        reorder = self.options.update_optim
         writes: dict[Key, int] = {}
         applied_order: dict[Key, tuple[Tid, ...]] = {}
         for key, writers in exec_.writers_of.items():
             survivors = [t for t in writers if t in committed]
             if not survivors:
                 continue
-            survivors.sort(key=lambda t: (dep[t].min_out, t))
+            if reorder:
+                survivors.sort(key=lambda t: (dep[t].min_out, t))
             composed = compose([commands[t][key] for t in survivors])
             writes[key] = apply_command(composed, store.read(key, base_block))
             applied_order[key] = tuple(survivors)
@@ -258,9 +272,7 @@ class HarmonyEngine:
         exec_ = self.simulate(block, snapshot)
         self.resolve_dependencies(exec_)
         hits = self.enhanced_validate(exec_)
-        aborted = set(hits)
-        if not self.options.update_optim:
-            aborted |= self._ww_losers(exec_)
+        aborted = self.abort_set(exec_, hits)
         committed = frozenset(t.tid for t in block.txns) - aborted
         writes, applied_order = self.apply_write_sets(exec_, committed)
         self.store.install_block_writes(block.id, writes)

@@ -42,10 +42,6 @@ STRAGGLER_PROB = 0.08
 STRAGGLER_FACTOR = 8.0
 
 
-class LivenessError(RuntimeError):
-    """A replica stalled past the configured event horizon."""
-
-
 class Sequencer:
     """Assigns TIDs in arrival order and cuts blocks of block_size
     transactions; the final block may be short."""
@@ -118,7 +114,6 @@ class RunConfig:
     inter_block: bool = False
     update_optim: bool = True
     checkpoint_p: int = 10
-    event_horizon: Optional[float] = None
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -132,6 +127,16 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ContractError(f"unknown config keys: {sorted(unknown)}")
+        for f in dataclasses.fields(cls):
+            if f.name not in data:
+                continue
+            # bool is a subclass of int, so compare exact types
+            value, want = data[f.name], type(f.default)
+            if type(value) is not want and not (want is float and type(value) is int):
+                raise ContractError(
+                    f"config key {f.name!r} must be {want.__name__}, "
+                    f"not {type(value).__name__}"
+                )
         return cls(**data)
 
     @classmethod
@@ -220,9 +225,9 @@ class RunOutcome:
         return all(row == self.hash_matrix[0] for row in self.hash_matrix[1:])
 
 
-def _block_costs(blocks: Sequence[Block], seed: int) -> list[tuple[float, int]]:
-    """(simulation duration, step count) per block; the straggler factor
-    models the occasional slow transaction that motivates pipelining."""
+def _block_costs(blocks: Sequence[Block], seed: int) -> list[float]:
+    """Simulation duration per block; the straggler factor models the
+    occasional slow transaction that motivates pipelining."""
     rng = random.Random(f"{seed}:costs")
     costs = []
     for block in blocks:
@@ -230,7 +235,7 @@ def _block_costs(blocks: Sequence[Block], seed: int) -> list[tuple[float, int]]:
         for txn in block.txns:
             factor = STRAGGLER_FACTOR if rng.random() < STRAGGLER_PROB else 1.0
             slowest = max(slowest, len(txn.steps) * factor * SIM_STEP_COST)
-        costs.append((slowest, sum(len(t.steps) for t in block.txns)))
+        costs.append(slowest)
     return costs
 
 
@@ -272,18 +277,11 @@ def run_replicas(
     deliveries = {
         rid: net.delivery_times(rid, len(blocks)) for rid in range(config.replicas)
     }
-    if config.event_horizon is not None:
-        for rid, times in deliveries.items():
-            if times and times[-1] > config.event_horizon:
-                raise LivenessError(
-                    f"replica {rid} would not finish before the event horizon"
-                )
     events = sorted(
         (deliveries[rid][i], rid, i)
         for rid in range(config.replicas)
         for i in range(len(blocks))
     )
-    lag = 2 if (config.engine == "harmony" and config.inter_block) else 1
     sim_end = {rid: {} for rid in range(config.replicas)}
     commit_end = {rid: {} for rid in range(config.replicas)}
     for at, rid, i in events:
@@ -294,10 +292,10 @@ def run_replicas(
         result = replica.receive(block)
         if result is None:
             continue
-        sim_cost, _steps = costs[i]
-        ready = commit_end[rid].get(i - lag, 0.0)
+        # simulation waits for the commit of the block it reads; block i has id i
+        ready = commit_end[rid].get(result.snapshot, 0.0)
         start = max(at, ready)
-        sim_end[rid][i] = start + sim_cost
+        sim_end[rid][i] = start + costs[i]
         commit_ready = max(sim_end[rid][i], commit_end[rid].get(i - 1, 0.0))
         commit_cost = COMMIT_BASE_COST + COMMIT_WRITE_COST * len(result.writes)
         commit_end[rid][i] = commit_ready + commit_cost

@@ -38,6 +38,25 @@ def test_fabric_treats_arithmetic_update_as_read():
     assert store.read("x", 0) == 1
 
 
+def test_fabric_applies_committed_blind_writers_in_tid_order():
+    # T3 read y before the aborted T1's write, so its min_out (1) is below
+    # T2's (3); sorting by min_out would install T2's value instead
+    t0 = (UpdateStep("z", "set", 1),)
+    t1 = (ReadStep("z"), UpdateStep("y", "set", 5))
+    t2 = (UpdateStep("x", "set", 10),)
+    t3 = (ReadStep("y"), UpdateStep("x", "set", 20))
+    blocks = mk_blocks([[t0, t1, t2, t3]])
+    probe = FabricEngine(SnapshotStore())
+    exec_ = probe.simulate(blocks[0], -1)
+    probe.resolve_dependencies(exec_)
+    assert exec_.dep_states[3].min_out < exec_.dep_states[2].min_out
+    store, (result,) = run_with(FabricEngine, blocks)
+    assert result.aborted == frozenset({1})
+    assert result.applied_order["x"] == (2, 3)
+    assert result.writes["x"] == 20
+    assert store.read("x", 0) == 20
+
+
 def test_aria_ww_dependency_aborts_larger_tid():
     t1 = (UpdateStep("x", "set", 1),)
     t2 = (UpdateStep("x", "set", 2),)

@@ -233,8 +233,8 @@ def test_config_file_supplies_defaults(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "{not json", "null", "[1]"],
-    ids=["missing", "invalid-json", "null", "list"],
+    [None, "{not json", "null", "[1]", '{"replicas": "two"}', '{"seed": false}'],
+    ids=["missing", "invalid-json", "null", "list", "str-for-int", "bool-for-int"],
 )
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, content):
     path = tmp_path / "run.json"

@@ -1,19 +1,20 @@
 """Pinned behaviour of every engine configuration.
 
 Each of the 63 configurations (seven engine settings x three workloads x
-three skews) runs one fixed stream on one replica. Its digest covers every
-BlockResult field of every block plus the per-block state hash row, so a
-change to any commit or abort decision, installed value, applied order,
-read record, command, structure hit or handler count shows up here. A
-change that alters a digest on purpose names the configuration and says
-why.
+three skews) runs one fixed stream on one replica, and so does each engine
+setting on one blind-write stream. A digest covers every BlockResult field
+of every block plus the per-block state hash row, so a change to any commit
+or abort decision, installed value, applied order, read record, command,
+structure hit or handler count shows up here. A change that alters a
+digest on purpose names the configuration and says why.
 """
 import hashlib
 import json
+import random
 
 import pytest
 
-from harmonydcc.core import canonical_json
+from harmonydcc.core import ReadStep, UpdateStep, canonical_json
 from harmonydcc.engine import EngineOptions, HarmonyEngine
 from harmonydcc.pipeline import Replica, RunConfig, make_blocks, run_replicas
 from harmonydcc.storage import recover
@@ -60,9 +61,31 @@ def _canonical_result(result) -> dict:
     }
 
 
-def config_digest(setting: str, workload: str, theta: float) -> str:
+def _blind_write_blocks(txns=400, keys=8, seed=29):
+    """Short random programs over a few keys, most of whose updates are
+    blind sets, so many keys have several committed writers per block."""
+    rng = random.Random(seed)
+    programs = []
+    for _ in range(txns):
+        steps = []
+        for _ in range(rng.randint(1, 4)):
+            key = f"k{rng.randrange(keys)}"
+            roll = rng.random()
+            if roll < 0.25:
+                steps.append(ReadStep(key))
+            elif roll < 0.65:
+                steps.append(UpdateStep(key, "set", rng.randint(-9, 9)))
+            elif roll < 0.85:
+                steps.append(UpdateStep(key, "add", rng.randint(1, 5)))
+            else:
+                steps.append(UpdateStep(key, "mul", rng.choice((-1, 2))))
+        programs.append(tuple(steps))
+    return make_blocks(programs, BLOCK_SIZE)
+
+
+def stream_digest(setting: str, blocks) -> str:
     config = RunConfig(replicas=1, block_size=BLOCK_SIZE, **ENGINE_SETTINGS[setting])
-    outcome = run_replicas(_blocks(workload, theta), config)
+    outcome = run_replicas(blocks, config)
     doc = {
         "results": [_canonical_result(r) for r in outcome.results[0]],
         "hashes": outcome.hash_matrix[0],
@@ -134,16 +157,26 @@ EXPECTED = {
     "serial/hotspot/0": "c968de8ee9eb2f03",
     "serial/hotspot/0.6": "afec51895839c7ae",
     "serial/hotspot/0.99": "d640b1a3210b42b1",
+    "harmony-intra/blind-write": "76fad11fd86d7c5b",
+    "harmony-intra-no-optim/blind-write": "4e1457204a08d68f",
+    "harmony-inter/blind-write": "e32b57a30c1c079e",
+    "harmony-inter-no-optim/blind-write": "bd04b1debcca3d23",
+    "fabric/blind-write": "3083a84098059c27",
+    "aria/blind-write": "083b206e511178ec",
+    "serial/blind-write": "95d2031a4a272d42",
 }
 
 
 @pytest.mark.parametrize("setting", ENGINE_SETTINGS)
 def test_engine_behaviour_matches_pinned_digests(setting):
     got = {
-        f"{setting}/{workload}/{theta:g}": config_digest(setting, workload, theta)
+        f"{setting}/{workload}/{theta:g}": stream_digest(
+            setting, _blocks(workload, theta)
+        )
         for workload in WORKLOADS
         for theta in THETAS
     }
+    got[f"{setting}/blind-write"] = stream_digest(setting, _blind_write_blocks())
     expected = {k: v for k, v in EXPECTED.items() if k.startswith(setting + "/")}
     assert got == expected
 

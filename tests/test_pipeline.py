@@ -2,7 +2,6 @@ import pytest
 
 from harmonydcc.core import ContractError, ReadStep, UpdateStep
 from harmonydcc.pipeline import (
-    LivenessError,
     RunConfig,
     Sequencer,
     SimulatedNetwork,
@@ -98,15 +97,6 @@ def test_tamper_block_breaks_payload_hash():
         chain.append_block(tamper_block(blocks[0]))
 
 
-def test_liveness_horizon():
-    blocks = make_blocks(_programs(50), 10)
-    with pytest.raises(LivenessError):
-        run_replicas(
-            blocks,
-            RunConfig(replicas=2, delay_max=10.0, seed=4, event_horizon=0.5),
-        )
-
-
 def test_inter_block_overlap_shortens_makespan():
     blocks = make_blocks(_programs(200, theta=0.0, keys=500), 25)
     off = run_replicas(blocks, RunConfig(replicas=1, seed=9, inter_block=False))
@@ -126,9 +116,24 @@ def test_config_json_roundtrip(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(config.to_json())
     assert RunConfig.from_file(path) == config
-    for text in ('{"bogus": 1}', '{"workers": 2}', "null", "[1]", '"x"', "{oops"):
+    for text in (
+        '{"bogus": 1}',
+        '{"workers": 2}',
+        "null",
+        "[1]",
+        '"x"',
+        "{oops",
+        '{"replicas": "two"}',
+        '{"replicas": true}',
+        '{"replicas": 2.0}',
+        '{"delay_max": "1"}',
+        '{"inter_block": 1}',
+        '{"engine": null}',
+    ):
         with pytest.raises(ContractError):
             RunConfig.from_json(text)
+    # an integer is a valid float
+    assert RunConfig.from_json('{"delay_max": 2}').delay_max == 2
 
 
 def test_engine_factory_rejects_invalid_combinations():
