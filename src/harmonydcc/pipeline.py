@@ -115,6 +115,12 @@ class RunConfig:
     update_optim: bool = True
     checkpoint_p: int = 10
 
+    def __post_init__(self) -> None:
+        if self.replicas < 1:
+            raise ContractError("replica count must be positive")
+        if self.checkpoint_p < 1:
+            raise ContractError("checkpoint period must be positive")
+
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         try:

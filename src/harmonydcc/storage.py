@@ -31,6 +31,8 @@ from .core import (
 
 CHAIN_FILE = "chain.log"
 CHECKPOINT_MARKER = "block_checkpoint_log.json"
+# full checkpoints kept: the newest and the one before it, the fallback for a
+# torn write of the newest; the deltas written since the newest are kept too
 CHECKPOINTS_KEPT = 2
 _DIGEST_BYTES = 256  # state digest elements and sums are 2048-bit
 _DIGEST_MASK = (1 << (8 * _DIGEST_BYTES)) - 1
@@ -303,6 +305,9 @@ def _read_log(path: str | Path) -> list[_LogLine]:
 
 @dataclass
 class Checkpoint:
+    """The state recovery starts from, whether it was written whole or as a
+    chain of deltas on a full checkpoint."""
+
     block: BlockId
     base_state: dict[Key, int]  # full state as of block - 1
     last_writes: dict[Key, int]  # writes of the checkpointed block itself
@@ -310,14 +315,32 @@ class Checkpoint:
 
 
 class CheckpointManager:
-    """Writes a full snapshot every p blocks. Once the marker naming a new
-    checkpoint is durable, it deletes all but the CHECKPOINTS_KEPT newest."""
+    """Writes a checkpoint every p blocks: a delta when it can extend the
+    checkpoint it wrote last, a full snapshot otherwise.
+
+    A delta's base_state holds only the keys written since that checkpoint's
+    base block, with their values as of block - 1, in first-write order, and
+    its "base" field names the checkpoint it extends by block and checksum.
+    A full checkpoint is written when the manager has nothing to extend (its
+    first checkpoint, or the checkpoint after a call it did not see or a
+    write that failed), and when the deltas since the last full checkpoint
+    would hold more keys than half of it, which bounds what recovery reads.
+    Once the marker naming a new full checkpoint is durable, the manager
+    deletes every other checkpoint file but the full one it wrote before,
+    the fallback for a torn write of the new one.
+    """
 
     def __init__(self, directory: str | Path, p: int = 10):
         if p <= 0:
             raise ContractError("checkpoint period must be positive")
         self.directory = Path(directory)
         self.p = p
+        self._last_block: Optional[BlockId] = None  # block of the previous call
+        self._base: Optional[tuple[BlockId, str]] = None  # what a delta extends
+        self._changed: dict[Key, None] = {}  # keys written from _base's block on
+        self._full_keys = 0  # keys in the newest full checkpoint
+        self._delta_keys = 0  # keys in the deltas written since it
+        self._fulls: list[Path] = []  # newest full checkpoints written, oldest first
 
     def maybe_checkpoint(
         self,
@@ -326,24 +349,33 @@ class CheckpointManager:
         engine_state: Optional[dict],
     ) -> bool:
         block = store.last_committed_block
+        if self._last_block != block - 1:
+            self._base = None  # the changed keys miss a block
+        self._last_block = block
         if block <= 0 or block % self.p != 0:
+            self._changed.update(dict.fromkeys(block_writes))
             return False
-        base = store.visible_state()
-        for key in block_writes:
-            prior = store.read(key, block - 1)
-            if prior is None:
-                base.pop(key, None)
-            else:
-                base[key] = prior
-        body = {
-            "block": block,
-            "base_state": base,
-            "last_writes": dict(block_writes),
-            "engine_state": engine_state,
-        }
+        base, self._base = self._base, None  # a failed write leaves nothing to extend
+        changed = self._changed
+        full = base is None or 2 * (self._delta_keys + len(changed)) > self._full_keys
+        if full:
+            base_state = store.visible_state()
+            for key in block_writes:
+                prior = store.read(key, block - 1)
+                if prior is None:
+                    base_state.pop(key, None)
+                else:
+                    base_state[key] = prior
+            body = {"block": block}
+        else:
+            base_state = {key: store.read(key, block - 1) for key in changed}
+            body = {"block": block, "base": list(base)}
+        body["base_state"] = base_state
+        body["last_writes"] = dict(block_writes)
+        body["engine_state"] = engine_state
         encoded = canonical_json(body)
         checksum = hashlib.sha256(encoded.encode()).hexdigest()
-        path = self.directory / f"checkpoint_{block:08d}.json"
+        path = self.directory / _checkpoint_name(block)
         # canonical_json({"checksum": checksum, "body": body}), built around
         # the body encoded once
         _atomic_write(path, f'{{"checksum":"{checksum}","body":{encoded}}}')
@@ -351,11 +383,28 @@ class CheckpointManager:
             self.directory / CHECKPOINT_MARKER,
             canonical_json({"checkpoint_block": block}),
         )
-        # zero-padded names sort by block; the older of the two kept is the
-        # fallback for a torn write of the newer
-        for stale in sorted(self.directory.glob("checkpoint_*.json"))[:-CHECKPOINTS_KEPT]:
-            stale.unlink()
+        if full:
+            self._full_keys, self._delta_keys = len(base_state), 0
+            self._fulls = [*self._fulls, path][-CHECKPOINTS_KEPT:]
+            self._drop_stale()
+        else:
+            self._delta_keys += len(base_state)
+        self._base = (block, checksum)
+        self._changed = dict.fromkeys(block_writes)
         return True
+
+    def _drop_stale(self) -> None:
+        """Delete every checkpoint file but the CHECKPOINTS_KEPT newest full
+        ones this manager wrote."""
+        kept = set(self._fulls)
+        for path in self.directory.glob("checkpoint_*.json"):
+            if path not in kept:
+                path.unlink()
+
+
+def _checkpoint_name(block: BlockId) -> str:
+    # zero-padded names sort by block
+    return f"checkpoint_{block:08d}.json"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -373,30 +422,58 @@ _CHECKPOINT_FILE = re.compile(
 )
 
 
-def _read_checkpoint_file(path: Path) -> Optional[Checkpoint]:
-    """The checkpoint stored in `path`, or None when the file is not
+def _read_checkpoint_file(path: Path) -> Optional[tuple[str, dict]]:
+    """The checksum and body stored in `path`, or None when the file is not
     {"checksum":"<hex>","body":<body>} with the checksum of the body's
-    bytes as stored, or the body lacks a checkpoint's fields."""
+    bytes as stored."""
     try:
         match = _CHECKPOINT_FILE.fullmatch(path.read_bytes())
         if match is None:
             return None
-        if hashlib.sha256(match["body"]).hexdigest() != match["checksum"].decode():
+        checksum = match["checksum"].decode()
+        if hashlib.sha256(match["body"]).hexdigest() != checksum:
             return None
-        body = json.loads(match["body"])
+        return checksum, json.loads(match["body"])
+    except (OSError, ValueError):
+        return None
+
+
+def _load_chain(directory: Path, path: Path) -> Optional[Checkpoint]:
+    """The checkpoint stored in `path`, with the base links of a delta
+    followed back to a full checkpoint and the base states folded oldest
+    first; None when a file of the chain is missing or invalid, a base's
+    checksum differs from its link, or a body lacks a checkpoint's fields."""
+    bodies = []
+    expected = None  # the checksum the previous file's base link names
+    try:
+        while True:
+            stored = _read_checkpoint_file(path)
+            if stored is None or expected not in (None, stored[0]):
+                return None
+            body = stored[1]
+            bodies.append(body)
+            if "base" not in body:
+                break
+            base_block, expected = body["base"]
+            path = directory / _checkpoint_name(base_block)
+        base_state: dict[Key, int] = {}
+        for body in reversed(bodies):
+            base_state.update(body["base_state"])
+        newest = bodies[0]
         return Checkpoint(
-            block=body["block"],
-            base_state=dict(body["base_state"]),
-            last_writes=dict(body["last_writes"]),
-            engine_state=body["engine_state"],
+            block=newest["block"],
+            base_state=base_state,
+            last_writes=dict(newest["last_writes"]),
+            engine_state=newest["engine_state"],
         )
-    except (OSError, ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError):
         return None
 
 
 def load_latest_checkpoint(directory: str | Path) -> Optional[Checkpoint]:
     """Newest complete checkpoint; an interrupted or otherwise invalid
-    write falls back to the previous one."""
+    write, or a delta whose chain of bases is broken, falls back to the
+    previous one."""
     directory = Path(directory)
     candidates = sorted(directory.glob("checkpoint_*.json"), reverse=True)
     marker = directory / CHECKPOINT_MARKER
@@ -404,14 +481,14 @@ def load_latest_checkpoint(directory: str | Path) -> Optional[Checkpoint]:
         try:
             with open(marker, encoding="utf-8") as fh:
                 marked = json.loads(fh.read())["checkpoint_block"]
-            preferred = directory / f"checkpoint_{marked:08d}.json"
+            preferred = directory / _checkpoint_name(marked)
             if preferred in candidates:
                 candidates.remove(preferred)
                 candidates.insert(0, preferred)
         except (OSError, ValueError, KeyError, TypeError):
             pass
     for path in candidates:
-        checkpoint = _read_checkpoint_file(path)
+        checkpoint = _load_chain(directory, path)
         if checkpoint is not None:
             return checkpoint
     return None

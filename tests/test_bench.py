@@ -233,8 +233,26 @@ def test_config_file_supplies_defaults(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "{not json", "null", "[1]", '{"replicas": "two"}', '{"seed": false}'],
-    ids=["missing", "invalid-json", "null", "list", "str-for-int", "bool-for-int"],
+    [
+        None,
+        "{not json",
+        "null",
+        "[1]",
+        '{"replicas": "two"}',
+        '{"seed": false}',
+        '{"replicas": 0}',
+        '{"checkpoint_p": 0}',
+    ],
+    ids=[
+        "missing",
+        "invalid-json",
+        "null",
+        "list",
+        "str-for-int",
+        "bool-for-int",
+        "no-replicas",
+        "zero-checkpoint-period",
+    ],
 )
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, content):
     path = tmp_path / "run.json"
@@ -244,3 +262,10 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("replicas", ["0", "-1"])
+def test_replica_count_below_one_is_a_usage_error(capsys, replicas):
+    assert main(["run", "--replicas", replicas, "--txns", "10", "--keys", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: replica count must be positive\n"

@@ -226,3 +226,49 @@ def test_checkpoint_with_carryover_readers_still_recovers(tmp_path):
     assert sorted(recovered.state_hashes) == [11, 12, 13]
     for block_id, digest in recovered.state_hashes.items():
         assert digest == replica.state_hashes[block_id]
+
+
+def _smallbank_checkpoint_digests(directory) -> dict[str, str]:
+    """sha256 of every checkpoint file a file-backed Smallbank run writes,
+    read right after it is written: 1,000 accounts, whose 2,000 keys one
+    transaction of block 0 sets, then 1,774 transactions (theta 0.6) in
+    blocks of 25, checkpoint every 10 blocks. A checkpoint interval writes
+    a few hundred keys, so the full checkpoint at block 10 is followed by
+    deltas, and by a full one when they would pass half its keys."""
+    accounts = 1000
+    preload = tuple(
+        UpdateStep(f"{kind}:{account:05d}", "set", 100)
+        for account in range(accounts)
+        for kind in ("c", "s")
+    )
+    spec = WorkloadSpec(kind="smallbank", keys=accounts, theta=0.6, seed=17)
+    blocks = make_blocks([preload] + generate(spec, 71 * BLOCK_SIZE - 1), BLOCK_SIZE)
+    replica = Replica(0, RunConfig(replicas=1, block_size=BLOCK_SIZE), data_dir=directory)
+    digests = {}
+    for block in blocks:
+        replica.receive(block)
+        path = directory / f"checkpoint_{block.id:08d}.json"
+        if block.id % 10 == 0 and path.exists():
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    replica.close()
+    return digests
+
+
+# Generated once from the run above. Blocks 10 and 50 are full checkpoints,
+# byte-identical to those of the format before deltas existed; the others
+# are deltas. A change to the checkpoint file format, to what a delta
+# holds or to when a full checkpoint is written changes these digests;
+# such a change names the files it alters and says why.
+CHECKPOINT_FILES = {
+    "checkpoint_00000010.json": "8b2538a388651bd0",
+    "checkpoint_00000020.json": "397d2d98a6e89c60",
+    "checkpoint_00000030.json": "240de3c916236abf",
+    "checkpoint_00000040.json": "1240aab9b2b181bf",
+    "checkpoint_00000050.json": "7232df215fb32bb5",
+    "checkpoint_00000060.json": "28adc0a4d5ce8fdb",
+    "checkpoint_00000070.json": "35e8ce03bac3dcac",
+}
+
+
+def test_checkpoint_files_match_pinned_digests(tmp_path):
+    assert _smallbank_checkpoint_digests(tmp_path) == CHECKPOINT_FILES

@@ -478,3 +478,211 @@ def test_replayed_log_reproduces_per_block_hashes(tmp_path):
     pre_crash = list(replica.state_hashes)
     recovered = recover(tmp_path, _harmony_builder)
     assert [recovered.state_hashes[i] for i in range(10)] == pre_crash
+
+
+# ---------------------------------------------------------------------------
+# Delta checkpoints
+
+
+def _drive(directory: Path, n_blocks: int, p: int, skip=(), per_block=30, seed=0):
+    """A store whose block 0 writes 2,000 keys and whose later blocks each
+    write `per_block` random ones of them, with a CheckpointManager called
+    after every block not in `skip`, as Replica calls it. Returns the
+    store, each block's writes, and the kind of every checkpoint written."""
+    rng = random.Random(seed)
+    names = [f"k{i:05d}" for i in range(2000)]
+    store = SnapshotStore()
+    directory.mkdir(exist_ok=True)
+    manager = CheckpointManager(directory, p=p)
+    history, kinds = [], {}
+    for block in range(n_blocks):
+        if block == 0:
+            writes = dict.fromkeys(names, 1)
+        else:
+            writes = {key: rng.randint(0, 99) for key in rng.sample(names, per_block)}
+        store.install_block_writes(block, writes)
+        history.append(writes)
+        if block not in skip and manager.maybe_checkpoint(store, writes, {"tick": block}):
+            kinds[block] = "delta" if "base" in _body(directory, block) else "full"
+    return store, history, kinds
+
+
+def _body(directory: Path, block: int) -> dict:
+    return json.loads((directory / f"checkpoint_{block:08d}.json").read_text())["body"]
+
+
+def test_delta_chain_loads_as_the_full_checkpoint_of_the_same_store(tmp_path):
+    store, history, kinds = _drive(tmp_path / "chain", 41, p=10)
+    assert kinds == {10: "full", 20: "delta", 30: "delta", 40: "delta"}
+    assert len(_body(tmp_path / "chain", 40)["base_state"]) < 2000 // 2
+    full_dir = tmp_path / "full"
+    full_dir.mkdir()
+    assert CheckpointManager(full_dir, p=1).maybe_checkpoint(
+        store, history[40], {"tick": 40}
+    )
+    assert "base" not in _body(full_dir, 40)
+    rebuilt = load_latest_checkpoint(tmp_path / "chain")
+    assert rebuilt == load_latest_checkpoint(full_dir)
+    assert rebuilt.base_state == store.visible_state(39)
+
+
+def test_first_checkpoint_and_one_after_a_missed_block_are_full(tmp_path):
+    """A manager writes a full checkpoint when it has none to extend: its
+    first one (perfbench's archive writes a single checkpoint with p=1),
+    and the first after a block it was not called for, since its record
+    of the keys written since the last checkpoint misses that block."""
+    _, _, kinds = _drive(tmp_path / "a", 61, p=10, skip={35})
+    assert kinds == {10: "full", 20: "delta", 30: "delta", 40: "full", 50: "delta", 60: "delta"}
+    _, _, kinds = _drive(tmp_path / "b", 31, p=10, skip=range(25))
+    assert kinds == {30: "full"}
+    _, _, kinds = _drive(tmp_path / "c", 5, p=1, skip=range(4))
+    assert kinds == {4: "full"}
+
+
+def test_deltas_give_way_to_a_full_checkpoint_past_half_its_keys(tmp_path):
+    """A delta holds the keys written since the checkpoint it extends; once
+    the deltas since the last full checkpoint would hold more keys than
+    half of it (2,000 keys), a full checkpoint is written instead."""
+    _, history, kinds = _drive(tmp_path, 140, p=10)
+    assert kinds.pop(10) == "full"
+    held = 0
+    for block, kind in kinds.items():
+        held += len({key for writes in history[block - 10 : block] for key in writes})
+        assert kind == ("full" if 2 * held > 2000 else "delta")
+        if kind == "full":
+            held = 0
+    assert list(kinds.values()).count("full") >= 2
+
+
+def test_full_checkpoint_keeps_only_the_previous_full_and_newer_files(tmp_path):
+    """Once a full checkpoint is durable, the previous full one stays as
+    its fallback, and every older file and every delta between the two
+    is deleted; deltas after the newest full one stay."""
+    _, _, kinds = _drive(tmp_path, 151, p=10)
+    fulls = [block for block, kind in kinds.items() if kind == "full"]
+    assert len(fulls) >= 3
+    expected = {fulls[-2], fulls[-1]} | {b for b in kinds if b > fulls[-1]}
+    assert any(kinds[b] == "delta" for b in expected)
+    on_disk = {int(p.stem[len("checkpoint_"):]) for p in tmp_path.glob("checkpoint_*.json")}
+    assert on_disk == expected
+
+
+def test_delta_lists_changed_keys_in_first_write_order(tmp_path):
+    store = SnapshotStore()
+    manager = CheckpointManager(tmp_path, p=3)
+    names = [f"k{i:05d}" for i in range(2000)]
+    blocks = [
+        dict.fromkeys(names, 1),
+        {},
+        {"k00009": 2},
+        {"k01500": 3, "k00003": 4},  # block 3: full; these start the delta's keys
+        {"k00003": 5, "k00700": 6, "k00001": 7},
+        {"k00002": 8, "k01500": 9},
+        {"k00004": 10},  # block 6 itself: in last_writes only
+    ]
+    for block, writes in enumerate(blocks):
+        store.install_block_writes(block, writes)
+        manager.maybe_checkpoint(store, writes, None)
+    body = _body(tmp_path, 6)
+    assert body["base"][0] == 3
+    assert list(body["base_state"]) == ["k01500", "k00003", "k00700", "k00001", "k00002"]
+    assert body["base_state"] == {key: store.read(key, 5) for key in body["base_state"]}
+    assert body["last_writes"] == {"k00004": 10}
+    text = (tmp_path / "checkpoint_00000006.json").read_text()
+    assert text.index('"k01500"') < text.index('"k00003"') < text.index('"k00001"')
+
+
+def _delta_replica(
+    directory: Path, n_blocks: int, p=10, seed=3, keys=2000, inter_block=False
+):
+    """A file-backed replica whose block 0 sets every one of `keys` YCSB
+    keys and whose blocks of 5 transactions touch few of them, so most of
+    its checkpoints are deltas."""
+    preload = tuple(UpdateStep(f"k{i:05d}", "set", i) for i in range(keys))
+    spec = WorkloadSpec(kind="ycsb", keys=keys, ops_per_txn=4, theta=0.6, seed=seed)
+    blocks = make_blocks([preload] + generate(spec, n_blocks * 5 - 1), 5)
+    config = RunConfig(replicas=1, checkpoint_p=p, inter_block=inter_block)
+    replica = Replica(0, config, data_dir=directory)
+    for block in blocks:
+        replica.receive(block)
+    replica.close()
+    return replica
+
+
+def _builder(inter_block: bool):
+    def build(store, engine_state):
+        engine = HarmonyEngine(store, EngineOptions(inter_block=inter_block))
+        engine.restore_state(engine_state)
+        return engine
+
+    return build
+
+
+def _assert_replays_after(directory: Path, replica, block: int) -> None:
+    assert load_latest_checkpoint(directory).block == block
+    recovered = recover(directory, _harmony_builder)
+    last = replica.store.last_committed_block
+    assert sorted(recovered.state_hashes) == list(range(block + 1, last + 1))
+    for block_id, digest in recovered.state_hashes.items():
+        assert digest == replica.state_hashes[block_id]
+
+
+def test_torn_newest_delta_falls_back_to_the_previous_delta(tmp_path):
+    replica = _delta_replica(tmp_path, 44)
+    assert "base" in _body(tmp_path, 40) and "base" in _body(tmp_path, 30)
+    newest = tmp_path / "checkpoint_00000040.json"
+    newest.write_text(newest.read_text()[:-40])  # crash mid-write
+    _assert_replays_after(tmp_path, replica, 30)
+
+
+@pytest.mark.parametrize("fault", ["missing", "mismatch"])
+def test_delta_with_a_broken_base_link_is_rejected(tmp_path, fault):
+    """The newest delta extends block 30. Without that file, or with a
+    file there whose checksum is not the one the link names, the delta is
+    rejected and the next older checkpoint whose chain holds is used."""
+    replica = _delta_replica(tmp_path, 44)
+    assert _body(tmp_path, 40)["base"][0] == 30
+    base = tmp_path / "checkpoint_00000030.json"
+    if fault == "missing":
+        base.unlink()
+        _assert_replays_after(tmp_path, replica, 20)
+    else:
+        # the same checkpoint in other bytes: valid on its own, not the linked one
+        encoded = json.dumps(_body(tmp_path, 30), indent=1)
+        checksum = hashlib.sha256(encoded.encode()).hexdigest()
+        base.write_text(f'{{"checksum":"{checksum}","body":{encoded}}}')
+        _assert_replays_after(tmp_path, replica, 30)
+
+
+@pytest.mark.parametrize("inter_block", [False, True], ids=["intra", "inter"])
+def test_random_kill_and_recover_with_deltas(tmp_path, inter_block):
+    """20 crashes at random points of runs over 1,000-2,000 keys; every
+    third tears the newest checkpoint file. Recovery replays from the
+    newest checkpoint whose chain holds and reproduces every state hash."""
+    rng = random.Random(808 + inter_block)
+    deltas = 0
+    for trial in range(20):
+        n_blocks = rng.randint(12, 60)
+        trial_dir = tmp_path / f"trial{trial}"
+        trial_dir.mkdir()
+        replica = _delta_replica(
+            trial_dir, n_blocks, p=rng.choice((3, 5, 10)), seed=rng.randrange(2**31),
+            keys=rng.randint(1000, 2000), inter_block=inter_block,
+        )
+        files = sorted(trial_dir.glob("checkpoint_*.json"))
+        deltas += sum('"base":[' in path.read_text() for path in files)
+        torn = None
+        if trial % 3 == 0 and files:
+            torn = files[-1]
+            text = torn.read_text()
+            torn.write_text(text[: rng.randrange(len(text))])
+        recovered = recover(trial_dir, _builder(inter_block))
+        checkpoint = load_latest_checkpoint(trial_dir)
+        start = checkpoint.block + 1 if checkpoint else 0
+        if torn is not None:
+            assert start <= int(torn.stem[len("checkpoint_"):])
+        assert sorted(recovered.state_hashes) == list(range(start, n_blocks))
+        for block_id, digest in recovered.state_hashes.items():
+            assert digest == replica.state_hashes[block_id]
+        assert recovered.store.state_hash() == replica.state_hashes[-1]
+    assert deltas >= 40
