@@ -8,7 +8,8 @@ them and reports the block. Both store computed values rather than commands,
 so an arithmetic update command counts as a read of the key it modifies (the
 fused read happens at the snapshot value). Without those implied reads the
 value-based protocols would silently commit lost updates. The serial
-baseline executes against live state and has its own commit step.
+baseline runs the block's transactions serially against live state and
+aborts nothing; the same commit step installs and reports its writes.
 """
 from __future__ import annotations
 
@@ -21,18 +22,15 @@ from .core import (
     Key,
     ReadRecord,
     Tid,
-    apply_command,
-    execute_program,
     reads_input,
+    run_serially,
 )
-from .engine import BlockExecution, BlockResult, EngineOptions, HarmonyEngine
+from .engine import BlockExecution, EngineOptions, HarmonyEngine
 from .storage import SnapshotStore
-
-BASELINE_KINDS = ("fabric", "aria", "serial")
 
 
 class _SnapshotBaseline(HarmonyEngine):
-    """The engine without update reordering; the subclasses replace only
+    """The engine without update reordering; Fabric and Aria replace only
     the abort rule."""
 
     def __init__(self, store: SnapshotStore):
@@ -111,39 +109,23 @@ class AriaEngine(_SnapshotBaseline):
 
 class SerialEngine(_SnapshotBaseline):
     """Executes transactions one by one in TID order against the live state.
-    Never aborts; defines the reference final state for any block."""
+    Never aborts; defines the reference final state for any block.
 
-    def process_block(self, block: Block) -> BlockResult:
-        if block.id != self.store.last_committed_block + 1:
-            raise ContractError(f"block {block.id} out of order")
-        snapshot = block.id - 1
-        store = self.store
-        overlay: dict[Key, int] = {}
-        reads = {}
-        commands = {}
-        applied: dict[Key, list[Tid]] = {}
-        for txn in block.txns:
+    It indexes writers but no readers, so nothing is a structure hit, and
+    the commit step's TID-order composition per key gives the live value."""
 
-            def live_read(key: Key):
-                if key in overlay:
-                    return overlay[key]
-                return store.read(key, snapshot)
+    def simulate(self, block: Block, snapshot: BlockId) -> BlockExecution:
+        exec_ = BlockExecution(block=block, snapshot=snapshot)
+        read = self.store.read
+        executed, _ = run_serially(block.txns, lambda key: read(key, snapshot))
+        for tid, (reads, commands) in executed.items():
+            exec_.reads[tid] = tuple(
+                ReadRecord(key, snapshot, observed, own) for key, observed, own in reads
+            )
+            exec_.commands[tid] = commands
+            for key in commands:
+                exec_.writers_of.setdefault(key, []).append(tid)
+        return exec_
 
-            raw, cmds, updated = execute_program(txn.tid, txn.steps, live_read)
-            reads[txn.tid] = tuple(ReadRecord(k, snapshot, v, own) for k, v, own in raw)
-            commands[txn.tid] = cmds
-            for key in updated:
-                overlay[key] = apply_command(cmds[key], live_read(key))
-                applied.setdefault(key, []).append(txn.tid)
-        store.install_block_writes(block.id, overlay)
-        return BlockResult(
-            block_id=block.id,
-            snapshot=snapshot,
-            committed=frozenset(t.tid for t in block.txns),
-            aborted=frozenset(),
-            writes=overlay,
-            applied_order={k: tuple(v) for k, v in applied.items()},
-            structure_hits=frozenset(),
-            reads=reads,
-            commands=commands,
-        )
+    def abort_set(self, exec_: BlockExecution, hits: set[Tid]) -> set[Tid]:
+        return set()

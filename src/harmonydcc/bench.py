@@ -36,6 +36,7 @@ CSV_COLUMNS = (
     "hit_rate",
     "wall_time",
 )
+COMPARE_COLUMNS = ("engine", "workload", "theta", "block_size", "abort_rate")
 
 
 class OracleViolation(RuntimeError):
@@ -53,7 +54,6 @@ class RunMetrics:
     abort_rate: float
     false_abort_rate: Optional[float]  # oracle mode only
     hit_rate: float
-    blocks: int
     wall_time: float
     commits_per_second: float
 
@@ -65,7 +65,6 @@ class ExperimentConfig:
     theta: float = 0.6
     keys: int = 10_000
     txns: int = 5_000
-    ops_per_txn: int = 10
     block_size: int = 25
     replicas: int = 1
     inter_block: bool = False
@@ -82,7 +81,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunMetrics, dict[str, str]
     spec = WorkloadSpec(
         kind=config.workload,
         keys=config.keys,
-        ops_per_txn=config.ops_per_txn,
         theta=config.theta,
         hotspot_prob=config.hotspot_prob,
         seed=config.seed,
@@ -128,7 +126,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunMetrics, dict[str, str]
         abort_rate=aborted / total if total else 0.0,
         false_abort_rate=false_rate,
         hit_rate=oracle.hit_rate(results),
-        blocks=len(blocks),
         wall_time=wall_time,
         commits_per_second=committed / outcome.makespans[0]
         if outcome.makespans[0] > 0
@@ -161,7 +158,19 @@ def compare(paths: Sequence[str | Path]) -> str:
     rows: list[dict[str, str]] = []
     for path in paths:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows.extend(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or ()  # an empty file has no rows
+            missing = [c for c in COMPARE_COLUMNS if c not in header]
+            if header and missing:
+                raise ContractError(f"{path}: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                try:
+                    float(row["abort_rate"])
+                except (TypeError, ValueError):
+                    raise ContractError(
+                        f"{path}: abort_rate {row['abort_rate']!r} is not a number"
+                    ) from None
+                rows.append(row)
     if not rows:
         return "no rows found"
     grid: dict[tuple[str, str, str], dict[str, dict[str, str]]] = {}
@@ -282,10 +291,13 @@ def _write_outputs(rows: list[dict[str, str]], out: Optional[str]) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compare":
-        print(compare(args.files))
-        return 0
     try:
+        if args.command == "compare":
+            print(compare(args.files))
+            return 0
+        if args.out and not Path(args.out).parent.is_dir():
+            # fail before the grid runs rather than after
+            raise ContractError(f"--out {args.out}: its directory does not exist")
         configs = _grid(args)
         if any(
             (c.inter_block or not c.update_optim) and c.engine != "harmony"
@@ -295,14 +307,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "--inter-block / --no-update-optim only apply to --engine harmony"
             )
         outcomes = [run_experiment(c) for c in configs]
+        text = _write_outputs([row for _, row in outcomes], args.out)
     except OracleViolation as exc:
         print(f"oracle violation: {exc}", file=sys.stderr)
         return 2
     except (OSError, ContractError, ReplicaDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = [row for _, row in outcomes]
-    text = _write_outputs(rows, args.out)
     if not args.out:
         print(text, end="")
     else:

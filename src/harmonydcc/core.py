@@ -212,6 +212,29 @@ def execute_program(
     return reads, commands, updated
 
 
+def run_serially(
+    txns, read_value: Callable[[Key], Value]
+) -> tuple[dict[Tid, tuple[list, dict[Key, Command]]], dict[Key, int]]:
+    """Execute transactions one after another, each reading the writes of
+    those before it over read_value. Returns each transaction's reads and
+    commands, as execute_program reports them, and every written key's
+    final value."""
+    overlay: dict[Key, int] = {}
+
+    def live_read(key: Key) -> Value:
+        if key in overlay:
+            return overlay[key]
+        return read_value(key)
+
+    executed = {}
+    for txn in txns:
+        reads, commands, updated = execute_program(txn.tid, txn.steps, live_read)
+        for key in updated:
+            overlay[key] = apply_command(commands[key], live_read(key))
+        executed[txn.tid] = (reads, commands)
+    return executed, overlay
+
+
 # ---------------------------------------------------------------------------
 # Transactions and blocks
 

@@ -8,17 +8,18 @@ plus each writer's command. The commit step resolves read/write
 dependencies, aborts transactions caught in the dangerous read-dependency
 pattern, orders the surviving update commands per key by ascending min_out
 (ties by TID), coalesces them, and installs the block's writes. Which
-transactions abort is one method, `abort_set`; the Fabric- and Aria-style
-baselines override only that method and run with update reordering off, in
-which case the survivors of a key are applied in TID order.
+transactions abort is one method, `abort_set`. Every engine kind runs this
+commit step: the baselines override `abort_set` and run with update
+reordering off, which applies a key's survivors in TID order; the serial
+one also replaces the simulation.
 
 min_out(j) is the smallest TID of a transaction whose write T_j read the
 before-image of, when that TID is below j (else j + 1); max_in(j) is the
 largest TID that read the before-image of one of T_j's writes (sentinel -1
 when none). T_j aborts iff min_out < j and min_out <= max_in, which holds
 exactly when T_j is the middle node of a pattern T_i <-rw- T_j <-rw- T_k
-with i < j and i <= k. Everything else, including write/write conflicts, is
-handled by reordering, without aborts.
+with i < j and i <= k; that test is `validate`. Everything else, including
+write/write conflicts, is handled by reordering, without aborts.
 
 With inter-block parallelism a block simulates against the snapshot two
 blocks back, so dependencies against the immediately preceding block exist.
@@ -194,26 +195,28 @@ class HarmonyEngine:
         dependencies against the previous in-flight block.
 
         Without a previous block, as always in intra-block mode, this is
-        exactly the plain validation rule.
+        exactly the plain validation rule. With one, the rule sees a copy of
+        each state, its min_out lowered by the previous block's writers of
+        the keys read; dep_states, which orders updates, stays as resolved.
         """
         prev = self._prev
         aborts: set[Tid] = set()
         for txn in exec_.block.txns:
             tid = txn.tid
             state = exec_.dep_states[tid]
-            earliest_out = state.min_out
             behind_committed_writer = False
             if prev is not None:
+                earliest_out = state.min_out
                 for record in exec_.reads[tid]:
                     for w in prev.writers_of.get(record.key, ()):
                         if w < earliest_out:
                             earliest_out = w
                         if w in prev.reaches_smaller:
                             behind_committed_writer = True
-            if earliest_out < tid and earliest_out <= state.max_in:
-                aborts.add(tid)  # both newer members share this block
-            elif behind_committed_writer:
-                aborts.add(tid)  # pattern reaches into the previous block
+                state = DependencyState(tid, earliest_out, state.max_in)
+            # middle of an in-block pattern, or newest of one reaching back
+            if validate(state) or behind_committed_writer:
+                aborts.add(tid)
         return aborts
 
     def abort_set(self, exec_: BlockExecution, hits: set[Tid]) -> set[Tid]:

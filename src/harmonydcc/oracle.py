@@ -2,16 +2,17 @@
 
 Deliberately quadratic and unoptimized: it rebuilds the full dependency
 graph of a processed block from first principles, checks it for cycles,
-and replays the committed transactions serially in topological order to
-confirm the engine installed an equivalent state. It exists to be obviously
-correct, not fast.
+and replays the committed transactions serially in topological order, with
+the executor the serial baseline runs (`core.run_serially`), to confirm the
+engine installed an equivalent state. It exists to be obviously correct,
+not fast.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 
-from .core import Block, Key, Tid, apply_command, execute_program, reads_input
+from .core import Block, Key, Tid, reads_input, run_serially
 from .engine import BlockResult
 from .storage import SnapshotStore
 
@@ -94,17 +95,9 @@ def serial_equivalence(block: Block, result: BlockResult, store: SnapshotStore) 
         return False
     snapshot = block.id - 1
     txns = {t.tid: t for t in block.txns}
-    overlay: dict[Key, int] = {}
-
-    def live_read(key: Key):
-        if key in overlay:
-            return overlay[key]
-        return store.read(key, snapshot)
-
-    for tid in order:
-        _, commands, updated = execute_program(tid, txns[tid].steps, live_read)
-        for key in updated:
-            overlay[key] = apply_command(commands[key], live_read(key))
+    _, overlay = run_serially(
+        (txns[tid] for tid in order), lambda key: store.read(key, snapshot)
+    )
     return overlay == result.writes
 
 

@@ -265,57 +265,40 @@ def tamper_block(block: Block) -> Block:
 def run_replicas(
     blocks: Sequence[Block],
     config: RunConfig,
-    data_dirs: Optional[Sequence[Path]] = None,
     tamper: Optional[tuple[int, int]] = None,  # (replica_id, block_id)
 ) -> RunOutcome:
     """Deliver every block to every replica after its sampled delay and run
     each replica's engine; returns the per-replica per-block state hashes.
 
-    Replicas share nothing. Delivery is FIFO, so each replica processes
-    blocks in id order no matter how the delays fall.
+    Replicas share nothing and delivery is FIFO, so each replica processes
+    blocks in id order no matter how the delays fall, and the replicas run
+    one after another: the delays move only the event clock.
     """
     net = SimulatedNetwork(config.seed, config.delay_max)
     costs = _block_costs(blocks, config.seed)
     replicas = []
+    makespans = []
     for rid in range(config.replicas):
-        data_dir = data_dirs[rid] if data_dirs else None
-        replicas.append(Replica(rid, config, data_dir=data_dir))
-    deliveries = {
-        rid: net.delivery_times(rid, len(blocks)) for rid in range(config.replicas)
-    }
-    events = sorted(
-        (deliveries[rid][i], rid, i)
-        for rid in range(config.replicas)
-        for i in range(len(blocks))
-    )
-    sim_end = {rid: {} for rid in range(config.replicas)}
-    commit_end = {rid: {} for rid in range(config.replicas)}
-    for at, rid, i in events:
-        replica = replicas[rid]
-        block = blocks[i]
-        if tamper is not None and tamper == (rid, block.id):
-            block = tamper_block(block)
-        result = replica.receive(block)
-        if result is None:
-            continue
-        # simulation waits for the commit of the block it reads; block i has id i
-        ready = commit_end[rid].get(result.snapshot, 0.0)
-        start = max(at, ready)
-        sim_end[rid][i] = start + costs[i]
-        commit_ready = max(sim_end[rid][i], commit_end[rid].get(i - 1, 0.0))
-        commit_cost = COMMIT_BASE_COST + COMMIT_WRITE_COST * len(result.writes)
-        commit_end[rid][i] = commit_ready + commit_cost
-    makespans = [
-        max(commit_end[rid].values()) if commit_end[rid] else 0.0
-        for rid in range(config.replicas)
-    ]
-    outcome = RunOutcome(
+        replica = Replica(rid, config)
+        replicas.append(replica)
+        commit_end: dict[int, float] = {}
+        for at, block in zip(net.delivery_times(rid, len(blocks)), blocks):
+            if tamper == (rid, block.id):
+                block = tamper_block(block)
+            result = replica.receive(block)
+            if result is None:
+                continue
+            # simulation waits for the commit of the block it reads; block i has id i
+            start = max(at, commit_end.get(result.snapshot, 0.0))
+            commit_ready = max(start + costs[block.id], commit_end.get(block.id - 1, 0.0))
+            commit_cost = COMMIT_BASE_COST + COMMIT_WRITE_COST * len(result.writes)
+            commit_end[block.id] = commit_ready + commit_cost
+        makespans.append(max(commit_end.values(), default=0.0))
+        replica.close()
+    return RunOutcome(
         hash_matrix=[r.state_hashes for r in replicas],
         results=[r.results for r in replicas],
         makespans=makespans,
         halted=[r.halted for r in replicas],
         stores=[r.store for r in replicas],
     )
-    for replica in replicas:
-        replica.close()
-    return outcome

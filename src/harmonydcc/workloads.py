@@ -16,6 +16,7 @@ from .core import BranchStep, ContractError, ReadStep, Step, UpdateStep
 Program = tuple[Step, ...]
 
 WORKLOAD_KINDS = ("ycsb", "smallbank", "hotspot")
+READ_RATIO = 0.5  # share of non-hotspot ycsb operations that are reads
 
 
 class ZipfSampler:
@@ -52,7 +53,6 @@ class WorkloadSpec:
     kind: str
     keys: int = 10_000
     ops_per_txn: int = 10
-    read_ratio: float = 0.5
     theta: float = 0.0
     hotspot_fraction: float = 0.01
     hotspot_prob: float = 0.0
@@ -88,7 +88,7 @@ def gen_ycsb(spec: WorkloadSpec, count: int) -> list[Program]:
                 steps.append(UpdateStep(_key(hot), "add", rng.randint(1, 10)))
                 continue
             key = _key(zipf.sample())
-            if rng.random() < spec.read_ratio:
+            if rng.random() < READ_RATIO:
                 steps.append(ReadStep(key))
             else:
                 steps.append(UpdateStep(key, "add", rng.randint(1, 10)))

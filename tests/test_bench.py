@@ -269,3 +269,33 @@ def test_replica_count_below_one_is_a_usage_error(capsys, replicas):
     assert main(["run", "--replicas", replicas, "--txns", "10", "--keys", "50"]) == 2
     err = capsys.readouterr().err
     assert err == "error: replica count must be positive\n"
+
+
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        "engine,theta\nharmony,0.6\n",
+        _rows_to_csv([_fake_row("harmony", abort="x")]),
+    ],
+    ids=["missing", "no-workload-column", "non-numeric-abort-rate"],
+)
+def test_bad_compare_input_is_a_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "runs.csv"
+    if content is not None:
+        path.write_text(content)
+    assert main(["compare", str(path)]) == 2
+    _assert_one_error_line(capsys)
+
+
+def test_out_path_in_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "grid.csv"
+    assert main(["run", "--txns", "10", "--keys", "50", "--out", str(out)]) == 2
+    _assert_one_error_line(capsys)

@@ -137,6 +137,19 @@ def test_chain_aborts_only_middle():
     assert result.committed == frozenset({1, 3})
 
 
+@pytest.mark.parametrize("inter_block", [False, True])
+def test_commit_step_aborts_by_validate(monkeypatch, inter_block):
+    # the rule the tests prove against enumeration is the one the engine runs
+    from harmonydcc import engine as engine_module
+
+    monkeypatch.setattr(engine_module, "validate", lambda state: True)
+    blocks = _random_stream(3, n_blocks=3)
+    _, _, results = run_chain(blocks, inter_block=inter_block)
+    for block, result in zip(blocks, results):
+        assert result.committed == frozenset()
+        assert result.aborted == frozenset(t.tid for t in block.txns)
+
+
 def test_rule_matches_structure_enumeration_on_random_configs():
     rng = random.Random(97)
     for _ in range(300):

@@ -181,6 +181,27 @@ def test_engine_behaviour_matches_pinned_digests(setting):
     assert got == expected
 
 
+def test_delayed_replica_makespans_match_pinned_digest():
+    """Event-clock makespans, as exact float.hex strings, of a three-replica
+    run with delivery delays. Generated once; a change to how replicas are
+    scheduled, to the occupancy model or to what a block writes changes
+    this digest."""
+    got = {}
+    for setting in ("harmony-intra", "harmony-inter", "serial"):
+        for workload in ("ycsb", "smallbank"):
+            config = RunConfig(
+                replicas=3,
+                block_size=BLOCK_SIZE,
+                delay_max=2.0,
+                seed=7,
+                **ENGINE_SETTINGS[setting],
+            )
+            outcome = run_replicas(_blocks(workload, 0.6), config)
+            got[f"{setting}/{workload}"] = [m.hex() for m in outcome.makespans]
+    doc = json.dumps(got, sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest()[:16] == "76111253bf36044a"
+
+
 def _inter_builder(store, engine_state):
     engine = HarmonyEngine(store, EngineOptions(inter_block=True))
     engine.restore_state(engine_state)
