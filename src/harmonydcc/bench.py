@@ -36,7 +36,9 @@ CSV_COLUMNS = (
     "hit_rate",
     "wall_time",
 )
-COMPARE_COLUMNS = ("engine", "workload", "theta", "block_size", "abort_rate")
+COMPARE_COLUMNS = (
+    "engine", "workload", "theta", "block_size", "inter_block", "update_optim", "abort_rate",
+)
 
 
 class OracleViolation(RuntimeError):
@@ -152,9 +154,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunMetrics, dict[str, str]
 # Comparison of CSV outputs
 
 
+def _label(row: dict[str, str]) -> str:
+    """The engine name, plus each switch that differs from its default."""
+    defaults = (("inter_block", "false"), ("update_optim", "true"))
+    return row["engine"] + "".join(f"[{s}={row[s]}]" for s, d in defaults if row[s] != d)
+
+
 def compare(paths: Sequence[str | Path]) -> str:
-    """Join runs on (workload, theta, block_size) and rank the engines at
-    every common grid point by abort rate."""
+    """Join runs on (workload, theta, block_size) and rank the engines,
+    told apart by their switches, at every common grid point by abort
+    rate."""
     rows: list[dict[str, str]] = []
     for path in paths:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -173,10 +182,11 @@ def compare(paths: Sequence[str | Path]) -> str:
                 rows.append(row)
     if not rows:
         return "no rows found"
-    grid: dict[tuple[str, str, str], dict[str, dict[str, str]]] = {}
+    grid: dict[tuple[str, str, str], dict[tuple[str, str, str], dict[str, str]]] = {}
     for row in rows:
         point = (row["workload"], row["theta"], row["block_size"])
-        grid.setdefault(point, {})[row["engine"]] = row
+        variant = (row["engine"], row["inter_block"], row["update_optim"])
+        grid.setdefault(point, {})[variant] = row
     engine_sets = {frozenset(engines) for engines in grid.values()}
     lines: list[str] = []
     common = [point for point, engines in grid.items() if len(engines) > 1]
@@ -184,10 +194,10 @@ def compare(paths: Sequence[str | Path]) -> str:
         if len(grid) <= 1 and len(engine_sets) <= 1:
             lines.append("single grid: nothing to rank against")
             for point, engines in sorted(grid.items()):
-                for engine, row in sorted(engines.items()):
+                for _, row in sorted(engines.items()):
                     lines.append(
                         f"{point[0]} theta={point[1]} block={point[2]} "
-                        f"{engine}: abort_rate={row['abort_rate']}"
+                        f"{_label(row)}: abort_rate={row['abort_rate']}"
                     )
             return "\n".join(lines)
         return "no common grid points across the inputs"
@@ -195,9 +205,9 @@ def compare(paths: Sequence[str | Path]) -> str:
         lines.append("warning: grids are mismatched; ranking common points only")
     for point in sorted(common):
         engines = grid[point]
-        ranked = sorted(engines.items(), key=lambda kv: float(kv[1]["abort_rate"]))
+        ranked = sorted(engines.values(), key=lambda row: float(row["abort_rate"]))
         order = " <= ".join(
-            f"{name}({float(row['abort_rate']):.4f})" for name, row in ranked
+            f"{_label(row)}({float(row['abort_rate']):.4f})" for row in ranked
         )
         lines.append(
             f"{point[0]} theta={point[1]} block={point[2]}: abort_rate {order}"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
 Tid = int
@@ -239,10 +240,11 @@ def run_serially(
 # Transactions and blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A deterministic procedure: given identical read results it emits
-    identical reads and update commands in identical order."""
+    identical reads and update commands in identical order. Immutable: its
+    steps are a tuple of step tuples."""
 
     tid: Tid
     block: BlockId
@@ -289,7 +291,13 @@ def canonical_json(obj) -> str:
 
 @dataclass(frozen=True)
 class Block:
-    """Ordered transactions plus the hash link to the previous block."""
+    """Ordered transactions plus the hash link to the previous block.
+
+    txns_json, the block's one canonical encoding, is filled by seal_block
+    with the text it hashed, or else on first use, never from an argument
+    or stored text. Blocks and transactions are immutable, so it always
+    equals encode_txns(self.txns): a hash checked over it covers the txns.
+    """
 
     id: BlockId
     txns: tuple[Transaction, ...]
@@ -301,6 +309,11 @@ class Block:
         for i in range(1, len(tids)):
             if tids[i] != tids[i - 1] + 1:
                 raise ContractError(f"block {self.id} tids not contiguous: {tids}")
+
+    @cached_property
+    def txns_json(self) -> str:
+        """encode_txns(self.txns), computed at most once per block."""
+        return encode_txns(self.txns)
 
 
 def encode_txns(txns) -> str:
@@ -322,6 +335,11 @@ def compute_block_hash(prev_hash: str, payload: bytes) -> str:
 
 
 def seal_block(block_id: BlockId, txns, prev_hash: str) -> Block:
+    """Hash txns into a block linked to prev_hash; the block keeps the
+    encoding hashed here as its txns_json."""
     txns = tuple(txns)
-    digest = compute_block_hash(prev_hash, block_payload(block_id, txns))
-    return Block(id=block_id, txns=txns, prev_hash=prev_hash, hash=digest)
+    txns_json = encode_txns(txns)
+    digest = compute_block_hash(prev_hash, block_payload(block_id, txns, txns_json))
+    block = Block(id=block_id, txns=txns, prev_hash=prev_hash, hash=digest)
+    block.__dict__["txns_json"] = txns_json  # Block.txns_json's cache
+    return block

@@ -26,7 +26,6 @@ from .core import (
     block_payload,
     canonical_json,
     compute_block_hash,
-    encode_txns,
 )
 
 CHAIN_FILE = "chain.log"
@@ -60,6 +59,7 @@ class SnapshotStore:
 
     def __init__(self, start_block: BlockId = -1):
         self._versions: dict[Key, list[tuple[BlockId, int]]] = {}
+        self._base: dict[Key, int] = {}  # values at first_block, below every version
         self._latest: dict[Key, int] = {}
         self._elements: dict[Key, int] = {}  # digest element of each visible pair
         self._sums: dict[BlockId, int] = {start_block: 0}  # digest sum per block
@@ -89,10 +89,10 @@ class SnapshotStore:
             snapshot = self._materialized(snapshot)
         versions = self._versions.get(key)
         if not versions:
-            return None
+            return self._base.get(key)
         idx = bisect_right(versions, snapshot, key=lambda entry: entry[0])
         if idx == 0:
-            return None
+            return self._base.get(key)
         return versions[idx - 1][1]
 
     def install_block_writes(self, block: BlockId, writes: dict[Key, int]) -> None:
@@ -110,11 +110,10 @@ class SnapshotStore:
                 versions[key] = [(block, value)]
             else:
                 slot.append((block, value))
-                total -= elements[key]
             latest[key] = value
             element = _pair_element(key, value)
+            total += element - elements.get(key, 0)
             elements[key] = element
-            total += element
         self._sums[block] = total & _DIGEST_MASK
         self.last_committed_block = block
 
@@ -148,7 +147,7 @@ class SnapshotStore:
         read = self.read
         return {
             key: value
-            for key in self._versions
+            for key in self._latest
             if (value := read(key, block)) is not None
         }
 
@@ -158,13 +157,18 @@ class SnapshotStore:
     ) -> "SnapshotStore":
         """Rebuild a store holding snapshots base_block and base_block + 1.
 
-        Versions older than the checkpoint are gone, so reads, visible states
-        and state hashes below base_block raise ContractError.
+        base_state is kept as one dict that reads fall back to below a key's
+        versions, not as a version list per key, so recovery gives the
+        collector few objects to track. Versions older than the checkpoint
+        are gone, so reads, visible states and state hashes below base_block
+        raise ContractError.
         """
-        store = cls(start_block=base_block - 1)
-        store.install_block_writes(base_block, base_state)
+        store = cls(start_block=base_block)
+        store._base = dict(base_state)
+        store._latest = dict(base_state)
+        store._elements = {key: _pair_element(key, v) for key, v in base_state.items()}
+        store._sums[base_block] = sum(store._elements.values()) & _DIGEST_MASK
         store.install_block_writes(base_block + 1, last_writes)
-        store.first_block = base_block
         return store
 
 
@@ -195,17 +199,18 @@ class ChainLog:
         return self.blocks[-1].hash if self.blocks else GENESIS_PREV_HASH
 
     def append_block(self, block: Block) -> None:
+        """Check the block's links and its hash over block.txns_json, which
+        a sealed block already holds (Block says why the check stays sound),
+        then append it and write it to the file if there is one."""
         if block.id != len(self.blocks):
             raise ChainError(f"expected block {len(self.blocks)}, got {block.id}")
         if block.prev_hash != self.tip_hash:
             raise ChainError(f"block {block.id} prev_hash does not match chain tip")
-        txns_json = encode_txns(block.txns)
-        payload = block_payload(block.id, block.txns, txns_json)
-        if compute_block_hash(block.prev_hash, payload) != block.hash:
+        if not _hash_matches(block):
             raise ChainError(f"block {block.id} hash does not match its payload")
         self.blocks.append(block)
         if self._fh is not None:
-            self._fh.write(_block_to_line(block, txns_json))
+            self._fh.write(_block_to_line(block))
             self._fh.write("\n")
             self._fh.flush()
             os.fsync(self._fh.fileno())
@@ -214,12 +219,7 @@ class ChainLog:
         """Recompute every hash link; smallest invalid block id, None if OK."""
         prev = GENESIS_PREV_HASH
         for i, block in enumerate(self.blocks):
-            payload = block_payload(block.id, block.txns)
-            if (
-                block.id != i
-                or block.prev_hash != prev
-                or compute_block_hash(block.prev_hash, payload) != block.hash
-            ):
+            if block.id != i or block.prev_hash != prev or not _hash_matches(block):
                 return i
             prev = block.hash
         return None
@@ -230,13 +230,18 @@ class ChainLog:
             self._fh = None
 
 
-def _block_to_line(block: Block, txns_json: str) -> str:
+def _hash_matches(block: Block | _LogLine) -> bool:
+    payload = block_payload(block.id, None, block.txns_json)
+    return compute_block_hash(block.prev_hash, payload) == block.hash
+
+
+def _block_to_line(block: Block) -> str:
     """canonical_json({"id", "prev_hash", "hash", "txns"}) of the block,
-    with txns_json = encode_txns(block.txns) spliced in unchanged."""
+    with its txns_json spliced in unchanged."""
     head = canonical_json(
         {"id": block.id, "prev_hash": block.prev_hash, "hash": block.hash}
     )
-    return f'{head[:-1]},"txns":{txns_json}}}'
+    return f'{head[:-1]},"txns":{block.txns_json}}}'
 
 
 _TXNS_FIELD = ',"txns":'
@@ -254,8 +259,7 @@ class _LogLine:
     txns_json: str
 
     def hash_matches(self) -> bool:
-        payload = block_payload(self.id, None, self.txns_json)
-        return compute_block_hash(self.prev_hash, payload) == self.hash
+        return _hash_matches(self)
 
     def txns_obj(self) -> list:
         """The txns text parsed; ChainError if it is not valid JSON."""

@@ -138,13 +138,15 @@ def _rows_to_csv(rows):
     return text.getvalue()
 
 
-def _fake_row(engine, workload="ycsb", theta="0.6", block="25", abort="0.1"):
+def _fake_row(
+    engine, workload="ycsb", theta="0.6", block="25", abort="0.1", inter_block="false"
+):
     return {
         "engine": engine,
         "workload": workload,
         "theta": theta,
         "block_size": block,
-        "inter_block": "false",
+        "inter_block": inter_block,
         "update_optim": "true",
         "committed": "90",
         "aborted": "10",
@@ -162,6 +164,18 @@ def test_compare_ranks_engines(tmp_path):
     b.write_text(_rows_to_csv([_fake_row("aria", abort="0.30")]))
     report = compare([a, b])
     assert "harmony(0.0200) <= aria(0.3000)" in report
+
+
+def test_compare_keeps_harmony_rows_with_different_switches_apart(tmp_path):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    intra = [_fake_row("harmony", abort="0.02"), _fake_row("aria", abort="0.30")]
+    a.write_text(_rows_to_csv(intra))
+    b.write_text(_rows_to_csv([_fake_row("harmony", abort="0.40", inter_block="true")]))
+    report = compare([a, b])
+    assert (
+        "harmony(0.0200) <= aria(0.3000) <= harmony[inter_block=true](0.4000)" in report
+    )
 
 
 def test_compare_single_file_identity(tmp_path):

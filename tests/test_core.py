@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from harmonydcc import core
 from harmonydcc.core import (
     INT64_MAX,
     BranchStep,
@@ -193,6 +194,24 @@ def test_block_seal_is_stable():
     b = seal_block(0, txns, "0" * 64)
     assert a.hash == b.hash
     assert block_payload(a.id, a.txns) == block_payload(b.id, b.txns)
+
+
+def test_a_sealed_block_is_encoded_once(monkeypatch):
+    """Sealing encodes the transactions; four replicas appending the block
+    to their chains and verifying them reuse that encoding. Counted at
+    Transaction.to_obj, which every encoding calls once per transaction."""
+    from harmonydcc.pipeline import Replica, RunConfig
+
+    encoded = []
+    to_obj = Transaction.to_obj
+    monkeypatch.setattr(Transaction, "to_obj", lambda t: encoded.append(t.tid) or to_obj(t))
+    block = seal_block(0, [_sample_txn(0), _sample_txn(1)], "0" * 64)
+    replicas = [Replica(i, RunConfig(replicas=4)) for i in range(4)]
+    for replica in replicas:
+        assert replica.receive(block) is not None
+    assert all(replica.chain.verify_chain() is None for replica in replicas)
+    assert encoded == [0, 1]
+    assert replicas[0].chain.blocks[0].txns_json == core.encode_txns(block.txns)
 
 
 def test_block_rejects_non_contiguous_tids():

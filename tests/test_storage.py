@@ -14,10 +14,11 @@ from harmonydcc.core import (
     UpdateStep,
     block_payload,
     canonical_json,
+    encode_txns,
     seal_block,
 )
 from harmonydcc.engine import EngineOptions, HarmonyEngine
-from harmonydcc.pipeline import Replica, RunConfig, make_blocks
+from harmonydcc.pipeline import Replica, RunConfig, make_blocks, tamper_block
 from harmonydcc.storage import (
     ChainError,
     ChainLog,
@@ -148,6 +149,32 @@ def test_recovered_store_rejects_reads_below_its_checkpoint(base_state):
         store.state_hash(3)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_store_from_checkpoint_answers_like_the_original(seed):
+    """Keys only in the base state, keys rewritten or first written in the
+    block after it, and a key never written read alike at both snapshots."""
+    rng = random.Random(seed)
+    keys = [f"k{i}" for i in range(40)]
+    original = SnapshotStore()
+    for block in range(8):
+        writes = {key: rng.randint(-9, 9) for key in rng.sample(keys, 8)}
+        original.install_block_writes(block, writes)
+    base = 6
+    rebuilt = SnapshotStore.from_checkpoint(base, original.visible_state(base), writes)
+    for block in (base, base + 1):
+        for key in [*keys, "never-written"]:
+            assert rebuilt.read(key, block) == original.read(key, block)
+        assert rebuilt.visible_state(block) == original.visible_state(block)
+        assert rebuilt.state_hash(block) == original.state_hash(block)
+    for below in (base - 1, -1):
+        with pytest.raises(ContractError):
+            rebuilt.read(keys[0], below)
+        with pytest.raises(ContractError):
+            rebuilt.visible_state(below)
+        with pytest.raises(ContractError):
+            rebuilt.state_hash(below)
+
+
 def test_written_checkpoint_and_log_line_are_canonical_json(tmp_path):
     """The encode-once writers produce exactly the canonical_json of the
     dicts that recovery parses."""
@@ -215,6 +242,39 @@ def test_append_checks_links():
     )
     with pytest.raises(ChainError):
         chain.append_block(bad)
+
+
+def test_every_block_keeps_the_encoding_of_its_own_txns(tmp_path):
+    """However a block was made, txns_json is encode_txns(txns), and
+    append_block refuses each block whose txns do not hash to its hash."""
+    blocks = _blocks(3)
+    path = tmp_path / "chain.log"
+    chain = ChainLog(path)
+    for block in blocks:
+        chain.append_block(block)
+    chain.close()
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace('"add",', '"add",1')  # operands 5, 6 become 15, 16
+    path.write_text("\n".join(lines) + "\n")
+    sealed = blocks[1]
+    cases = [
+        (sealed, True),
+        (Block(id=1, txns=sealed.txns, prev_hash=sealed.prev_hash, hash=sealed.hash), True),
+        (_read_log(path)[1].decode(), True),
+        (tamper_block(sealed), False),
+        (Block(id=1, txns=blocks[2].txns, prev_hash=sealed.prev_hash, hash=sealed.hash), False),
+        (_read_log(path)[2].decode(), False),
+    ]
+    for block, matches in cases:
+        assert block.txns_json == encode_txns(block.txns)
+        chain = ChainLog()
+        for earlier in blocks[: block.id]:
+            chain.append_block(earlier)
+        if matches:
+            chain.append_block(block)
+        else:
+            with pytest.raises(ChainError, match="hash does not match"):
+                chain.append_block(block)
 
 
 def test_verify_chain_clean_and_roundtrip(tmp_path):
