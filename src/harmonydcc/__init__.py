@@ -5,7 +5,6 @@ from .core import (
     BranchStep,
     ReadStep,
     Transaction,
-    UpdateCommand,
     UpdateStep,
     apply_command,
     compose,
@@ -30,7 +29,6 @@ __all__ = [
     "Sequencer",
     "SnapshotStore",
     "Transaction",
-    "UpdateCommand",
     "UpdateStep",
     "WorkloadSpec",
     "apply_command",

@@ -4,7 +4,10 @@ Transactions are small interpreted programs (read steps, guarded branch
 steps, update steps) rather than host-language closures, so blocks can be
 serialized, hashed, logged, and replayed bit-exactly. Update steps emit
 read-modify-write commands (add / mul / set) instead of computed values;
-commands compose left-to-right and are evaluated once, at commit time.
+commands compose left-to-right and are evaluated once, at commit time. A
+command is an exact (kind, operand, issuer) tuple, not a NamedTuple: the
+cyclic collector untracks such tuples, so full collections do not walk the
+commands of every BlockResult a replica keeps.
 
 All values are signed 64-bit integers. A key that was never written reads
 as absent (None); arithmetic commands treat absent as 0.
@@ -44,10 +47,7 @@ class ContractError(RuntimeError):
     """A caller violated an operation precondition."""
 
 
-class UpdateCommand(NamedTuple):
-    kind: str  # ADD | MUL | SET
-    operand: int
-    issuer: Tid
+UpdateCommand = tuple[str, int, Tid]  # (ADD | MUL | SET, operand, issuer)
 
 
 class CommandChain(NamedTuple):
@@ -73,13 +73,13 @@ def apply_command(cmd: Command, value: Value) -> int:
         for part in cmd.parts:
             out = apply_command(part, out)
         return out  # chain is non-empty by construction
-    kind = cmd.kind
+    kind, operand, _ = cmd
     if kind == ADD:
-        return _check64((value or 0) + cmd.operand)
+        return _check64((value or 0) + operand)
     if kind == MUL:
-        return _check64((value or 0) * cmd.operand)
+        return _check64((value or 0) * operand)
     if kind == SET:
-        return _check64(cmd.operand)
+        return _check64(operand)
     raise ProgramError(f"unknown command kind {kind!r}")
 
 
@@ -110,8 +110,8 @@ def reads_input(cmd: Command) -> bool:
     so such chains behave as blind writes.
     """
     if type(cmd) is CommandChain:
-        return all(p.kind != SET for p in cmd.parts)
-    return cmd.kind != SET
+        return all(p[0] != SET for p in cmd.parts)
+    return cmd[0] != SET
 
 
 class ReadRecord(NamedTuple):
@@ -190,7 +190,7 @@ def execute_program(
             reads.append((step.key, value, own))
             last_read[step.key] = value
         elif kind is UpdateStep:
-            cmd = UpdateCommand(step.kind, step.operand, tid)
+            cmd = (step.kind, step.operand, tid)
             prev = commands.get(step.key)
             if prev is None:
                 commands[step.key] = cmd

@@ -33,6 +33,7 @@ CHECKPOINT_MARKER = "block_checkpoint_log.json"
 # full checkpoints kept: the newest and the one before it, the fallback for a
 # torn write of the newest; the deltas written since the newest are kept too
 CHECKPOINTS_KEPT = 2
+MAX_DELTAS = 16  # deltas written after a full checkpoint before the next full one
 _DIGEST_BYTES = 256  # state digest elements and sums are 2048-bit
 _DIGEST_MASK = (1 << (8 * _DIGEST_BYTES)) - 1
 
@@ -327,8 +328,9 @@ class CheckpointManager:
     its "base" field names the checkpoint it extends by block and checksum.
     A full checkpoint is written when the manager has nothing to extend (its
     first checkpoint, or the checkpoint after a call it did not see or a
-    write that failed), and when the deltas since the last full checkpoint
-    would hold more keys than half of it, which bounds what recovery reads.
+    write that failed), when the deltas since the last full checkpoint would
+    hold more keys than half of it, and when MAX_DELTAS deltas follow it,
+    which bounds what recovery reads and how many files it opens.
     Once the marker naming a new full checkpoint is durable, the manager
     deletes every other checkpoint file but the full one it wrote before,
     the fallback for a torn write of the new one.
@@ -344,6 +346,7 @@ class CheckpointManager:
         self._changed: dict[Key, None] = {}  # keys written from _base's block on
         self._full_keys = 0  # keys in the newest full checkpoint
         self._delta_keys = 0  # keys in the deltas written since it
+        self._deltas = 0  # deltas written since it
         self._fulls: list[Path] = []  # newest full checkpoints written, oldest first
 
     def maybe_checkpoint(
@@ -361,7 +364,11 @@ class CheckpointManager:
             return False
         base, self._base = self._base, None  # a failed write leaves nothing to extend
         changed = self._changed
-        full = base is None or 2 * (self._delta_keys + len(changed)) > self._full_keys
+        full = (
+            base is None
+            or self._deltas >= MAX_DELTAS
+            or 2 * (self._delta_keys + len(changed)) > self._full_keys
+        )
         if full:
             base_state = store.visible_state()
             for key in block_writes:
@@ -388,11 +395,12 @@ class CheckpointManager:
             canonical_json({"checkpoint_block": block}),
         )
         if full:
-            self._full_keys, self._delta_keys = len(base_state), 0
+            self._full_keys, self._delta_keys, self._deltas = len(base_state), 0, 0
             self._fulls = [*self._fulls, path][-CHECKPOINTS_KEPT:]
             self._drop_stale()
         else:
             self._delta_keys += len(base_state)
+            self._deltas += 1
         self._base = (block, checksum)
         self._changed = dict.fromkeys(block_writes)
         return True

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from harmonydcc.core import (
     ProgramError,
     ReadStep,
     Transaction,
-    UpdateCommand,
     UpdateOverflowError,
     UpdateStep,
     apply_command,
@@ -23,15 +23,15 @@ from harmonydcc.core import (
 
 
 def add(c, issuer=0):
-    return UpdateCommand("add", c, issuer)
+    return ("add", c, issuer)
 
 
 def mul(c, issuer=0):
-    return UpdateCommand("mul", c, issuer)
+    return ("mul", c, issuer)
 
 
 def set_(v, issuer=0):
-    return UpdateCommand("set", v, issuer)
+    return ("set", v, issuer)
 
 
 def test_apply_command_examples():
@@ -82,7 +82,7 @@ def test_compose_equals_sequential_fold():
     for _ in range(300):
         n = rng.randint(1, 8)
         cmds = [
-            UpdateCommand(rng.choice(kinds), rng.randint(-100, 100), 0)
+            (rng.choice(kinds), rng.randint(-100, 100), 0)
             for _ in range(n)
         ]
         start = rng.randint(-100, 100)
@@ -99,6 +99,34 @@ def test_reads_input():
     assert not reads_input(compose([add(1), set_(5)]))
     assert not reads_input(compose([set_(5), add(1)]))
     assert reads_input(compose([add(1), mul(2)]))
+
+
+def test_kept_block_results_hold_no_commands_the_collector_tracks():
+    """A primitive command is an exact tuple of a str and two ints, which
+    the cyclic collector untracks, so the commands of the BlockResults a
+    replica keeps add nothing to what every full collection walks."""
+    from harmonydcc.engine import HarmonyEngine
+    from harmonydcc.storage import SnapshotStore
+
+    programs = [
+        (UpdateStep("x", "add", 1), UpdateStep("y", "mul", 2)),
+        (ReadStep("x"), UpdateStep("z", "set", 3)),
+        (UpdateStep("x", "add", 4), UpdateStep("x", "mul", 5)),  # a chain
+        (UpdateStep("w", "set", 6),),
+    ]
+    txns = [Transaction(tid, 0, steps) for tid, steps in enumerate(programs)]
+    block = seal_block(0, txns, core.GENESIS_PREV_HASH)
+    result = HarmonyEngine(SnapshotStore()).process_block(block)
+    gc.collect()
+    primitives = [
+        part
+        for commands in result.commands.values()
+        for cmd in commands.values()
+        for part in (cmd.parts if type(cmd) is core.CommandChain else (cmd,))
+    ]
+    assert len(primitives) == 6
+    assert all(type(cmd) is tuple for cmd in primitives)
+    assert not any(gc.is_tracked(cmd) for cmd in primitives)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,33 @@ def test_update_reorder_figure_sorts_x_updaters():
     assert result.applied_order["x"] == (4, 2)
 
 
+def test_key_whose_lone_writer_aborts_is_not_written():
+    # T2 is the middle of T1 <-rw- T2 <-rw- T3 and the only writer of "b"
+    t1 = (ReadStep("a"), UpdateStep("c", "add", 1))
+    t2 = (ReadStep("c"), UpdateStep("a", "add", 1), UpdateStep("b", "set", 7))
+    t3 = (ReadStep("a"),)
+    blocks = mk_blocks([[t1, t2, t3]], first_tid=1)
+    store, _, (result,) = run_chain(blocks)
+    assert result.aborted == frozenset({2})
+    assert "b" not in result.writes and "b" not in result.applied_order
+    assert store.read("b", 0) is None
+
+
+@pytest.mark.parametrize("kind, operand", [("add", 5), ("mul", 3), ("set", -4)])
+def test_lone_writer_value_and_order_do_not_depend_on_update_optim(kind, operand):
+    seed = (UpdateStep("x", "set", 10),)
+    lone = (ReadStep("y"), UpdateStep("x", kind, operand), UpdateStep("x", "add", 1))
+    other = (UpdateStep("y", "add", 2),)
+    blocks = mk_blocks([[seed], [lone, other]])
+    outcomes = []
+    for update_optim in (True, False):
+        _, _, results = run_chain(blocks, update_optim=update_optim)
+        assert results[1].committed == frozenset({1, 2})
+        outcomes.append((results[1].writes["x"], results[1].applied_order["x"]))
+    expected = {"add": 16, "mul": 31, "set": -3}[kind]
+    assert outcomes == [(expected, (1,)), (expected, (1,))]
+
+
 # ---------------------------------------------------------------------------
 # Whole blocks
 

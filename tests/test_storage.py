@@ -20,6 +20,7 @@ from harmonydcc.core import (
 from harmonydcc.engine import EngineOptions, HarmonyEngine
 from harmonydcc.pipeline import Replica, RunConfig, make_blocks, tamper_block
 from harmonydcc.storage import (
+    MAX_DELTAS,
     ChainError,
     ChainLog,
     CheckpointManager,
@@ -625,6 +626,20 @@ def test_full_checkpoint_keeps_only_the_previous_full_and_newer_files(tmp_path):
     assert any(kinds[b] == "delta" for b in expected)
     on_disk = {int(p.stem[len("checkpoint_"):]) for p in tmp_path.glob("checkpoint_*.json")}
     assert on_disk == expected
+
+
+def test_delta_chain_is_bounded_by_its_length(tmp_path):
+    """Empty blocks add no key to a delta, so only MAX_DELTAS bounds the
+    chain: a 2,000-key store followed by 1,000 empty blocks, checkpointed
+    after every block, writes a full checkpoint after every MAX_DELTAS
+    deltas and keeps at most those deltas and two full checkpoints."""
+    store, _, kinds = _drive(tmp_path, 1001, p=1, per_block=0)
+    fulls = [block for block, kind in kinds.items() if kind == "full"]
+    assert fulls == list(range(1, 1001, MAX_DELTAS + 1))
+    assert len(list(tmp_path.glob("checkpoint_*.json"))) <= MAX_DELTAS + 2
+    checkpoint = load_latest_checkpoint(tmp_path)
+    assert checkpoint.block == 1000
+    assert checkpoint.base_state == store.visible_state(999)
 
 
 def test_delta_lists_changed_keys_in_first_write_order(tmp_path):
