@@ -241,10 +241,10 @@ class HarmonyEngine:
         self, exec_: BlockExecution, committed: frozenset[Tid]
     ) -> tuple[dict[Key, int], dict[Key, tuple[Tid, ...]]]:
         """Per key, order the committed commands by ascending (min_out, tid)
-        when update reordering is on, else in TID order; coalesce them into
-        one command (a lone writer's own) and evaluate it once on the state
-        left by the previous block. Returns the writes and the applied order
-        of every written key."""
+        when update reordering is on, else keep them in TID order; coalesce
+        them into one command and evaluate it once on the state left by the
+        previous block. Returns the writes and the applied order of every
+        written key."""
         store = self.store
         dep = exec_.dep_states
         commands = exec_.commands
@@ -253,12 +253,6 @@ class HarmonyEngine:
         writes: dict[Key, int] = {}
         applied_order: dict[Key, tuple[Tid, ...]] = {}
         for key, writers in exec_.writers_of.items():
-            if len(writers) == 1:  # a lone writer: nothing to order or compose
-                tid = writers[0]
-                if tid in committed:
-                    writes[key] = apply_command(commands[tid][key], store.read(key, base_block))
-                    applied_order[key] = (tid,)
-                continue
             survivors = [t for t in writers if t in committed]
             if not survivors:
                 continue
