@@ -11,7 +11,7 @@ from .core import (
     seal_block,
 )
 from .engine import BlockResult, EngineOptions, HarmonyEngine
-from .pipeline import RunConfig, Sequencer, make_blocks, run_replicas
+from .pipeline import RunConfig, make_blocks, run_replicas
 from .storage import ChainLog, SnapshotStore
 from .workloads import WorkloadSpec, generate
 
@@ -26,7 +26,6 @@ __all__ = [
     "HarmonyEngine",
     "ReadStep",
     "RunConfig",
-    "Sequencer",
     "SnapshotStore",
     "Transaction",
     "UpdateStep",

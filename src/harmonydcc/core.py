@@ -322,11 +322,9 @@ def encode_txns(txns) -> str:
     return canonical_json([t.to_obj() for t in txns])
 
 
-def block_payload(block_id: BlockId, txns, txns_json: Optional[str] = None) -> bytes:
-    """The bytes a block's hash covers: canonical_json({"id", "txns"}).
-    Pass txns_json, the output of encode_txns(txns), to reuse an encoding."""
-    if txns_json is None:
-        txns_json = encode_txns(txns)
+def block_payload(block_id: BlockId, txns_json: str) -> bytes:
+    """The bytes a block's hash covers: canonical_json({"id", "txns"}),
+    built around txns_json, the output of encode_txns(txns)."""
     return f'{{"id":{canonical_json(block_id)},"txns":{txns_json}}}'.encode()
 
 
@@ -339,7 +337,7 @@ def seal_block(block_id: BlockId, txns, prev_hash: str) -> Block:
     encoding hashed here as its txns_json."""
     txns = tuple(txns)
     txns_json = encode_txns(txns)
-    digest = compute_block_hash(prev_hash, block_payload(block_id, txns, txns_json))
+    digest = compute_block_hash(prev_hash, block_payload(block_id, txns_json))
     block = Block(id=block_id, txns=txns, prev_hash=prev_hash, hash=digest)
     block.__dict__["txns_json"] = txns_json  # Block.txns_json's cache
     return block

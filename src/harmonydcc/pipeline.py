@@ -23,7 +23,6 @@ from .core import (
     Block,
     ContractError,
     ReadStep,
-    Tid,
     Transaction,
     UpdateStep,
     seal_block,
@@ -42,48 +41,22 @@ STRAGGLER_PROB = 0.08
 STRAGGLER_FACTOR = 8.0
 
 
-class Sequencer:
-    """Assigns TIDs in arrival order and cuts blocks of block_size
-    transactions; the final block may be short."""
-
-    def __init__(self, block_size: int):
-        if block_size <= 0:
-            raise ContractError("block size must be positive")
-        self.block_size = block_size
-        self.next_tid: Tid = 0
-        self._pending: list[tuple[Tid, Program]] = []
-        self._blocks: list[Block] = []
-        self._prev_hash = None
-
-    def submit(self, program: Program) -> Tid:
-        tid = self.next_tid
-        self.next_tid += 1
-        self._pending.append((tid, program))
-        if len(self._pending) == self.block_size:
-            self._seal_pending()
-        return tid
-
-    def _seal_pending(self) -> None:
-        block_id = len(self._blocks)
-        prev = self._blocks[-1].hash if self._blocks else GENESIS_PREV_HASH
+def make_blocks(programs: Sequence[Program], block_size: int) -> list[Block]:
+    """Assign TIDs in arrival order and seal blocks of block_size
+    transactions, each linked to the one before; the final block may be
+    short."""
+    if block_size <= 0:
+        raise ContractError("block size must be positive")
+    blocks: list[Block] = []
+    prev_hash = GENESIS_PREV_HASH
+    for block_id, first in enumerate(range(0, len(programs), block_size)):
         txns = [
             Transaction(tid=tid, block=block_id, steps=tuple(program))
-            for tid, program in self._pending
+            for tid, program in enumerate(programs[first : first + block_size], first)
         ]
-        self._blocks.append(seal_block(block_id, txns, prev))
-        self._pending.clear()
-
-    def close(self) -> list[Block]:
-        if self._pending:
-            self._seal_pending()
-        return self._blocks
-
-
-def make_blocks(programs: Sequence[Program], block_size: int) -> list[Block]:
-    seq = Sequencer(block_size)
-    for program in programs:
-        seq.submit(program)
-    return seq.close()
+        blocks.append(seal_block(block_id, txns, prev_hash))
+        prev_hash = blocks[-1].hash
+    return blocks
 
 
 class SimulatedNetwork:

@@ -29,7 +29,6 @@ from .core import (
 )
 
 CHAIN_FILE = "chain.log"
-CHECKPOINT_MARKER = "block_checkpoint_log.json"
 # full checkpoints kept: the newest and the one before it, the fallback for a
 # torn write of the newest; the deltas written since the newest are kept too
 CHECKPOINTS_KEPT = 2
@@ -51,11 +50,12 @@ class SnapshotStore:
 
     A read at snapshot b returns the value of the largest version <= b.
     Installs are serialized by block id, and last_committed_block only
-    advances after every version of the block is in place. Reads, visible
-    states and state hashes are answered for blocks from first_block on: a
-    fresh store's start_block, or the checkpoint's base block after
-    from_checkpoint. A store that starts at genesis (-1) holds the empty
-    state for every earlier id as well, since no block precedes genesis.
+    advances after every version of the block is in place. Reads are
+    answered for snapshots from first_block on: a fresh store's
+    start_block, or the checkpoint's base block after from_checkpoint. A
+    store that starts at genesis (-1) holds the empty state for every
+    earlier id as well, since no block precedes genesis. The visible state
+    and the state hash are those of last_committed_block.
     """
 
     def __init__(self, start_block: BlockId = -1):
@@ -63,31 +63,22 @@ class SnapshotStore:
         self._base: dict[Key, int] = {}  # values at first_block, below every version
         self._latest: dict[Key, int] = {}
         self._elements: dict[Key, int] = {}  # digest element of each visible pair
-        self._sums: dict[BlockId, int] = {start_block: 0}  # digest sum per block
+        self._sum = 0  # digest sum of the visible pairs
         self.first_block: BlockId = start_block
         self.last_committed_block: BlockId = start_block
-
-    def _materialized(self, block: BlockId) -> BlockId:
-        """The block whose state answers for `block`; raises ContractError
-        outside the blocks this store holds."""
-        if block > self.last_committed_block:
-            raise ContractError(
-                f"snapshot {block} not materialized "
-                f"(last committed block is {self.last_committed_block})"
-            )
-        if block < self.first_block:
-            if self.first_block != -1:
-                raise ContractError(
-                    f"snapshot {block} precedes the store's first block {self.first_block}"
-                )
-            return -1
-        return block
 
     def read(self, key: Key, snapshot: BlockId) -> Value:
         if snapshot == self.last_committed_block:
             return self._latest.get(key)
-        if snapshot > self.last_committed_block or snapshot < self.first_block:
-            snapshot = self._materialized(snapshot)
+        if snapshot > self.last_committed_block:
+            raise ContractError(
+                f"snapshot {snapshot} not materialized "
+                f"(last committed block is {self.last_committed_block})"
+            )
+        if snapshot < self.first_block and self.first_block != -1:
+            raise ContractError(
+                f"snapshot {snapshot} precedes the store's first block {self.first_block}"
+            )
         versions = self._versions.get(key)
         if not versions:
             return self._base.get(key)
@@ -104,7 +95,7 @@ class SnapshotStore:
         versions = self._versions
         latest = self._latest
         elements = self._elements
-        total = self._sums[block - 1]
+        total = self._sum
         for key, value in writes.items():
             slot = versions.get(key)
             if slot is None:
@@ -115,42 +106,33 @@ class SnapshotStore:
             element = _pair_element(key, value)
             total += element - elements.get(key, 0)
             elements[key] = element
-        self._sums[block] = total & _DIGEST_MASK
+        self._sum = total & _DIGEST_MASK
         self.last_committed_block = block
 
-    def state_hash(self, block: Optional[BlockId] = None) -> str:
-        """Digest of the (key, value) pairs visible at `block` plus the block
-        id itself; identical across replicas iff the visible states are
-        identical.
+    def state_hash(self) -> str:
+        """Digest of the (key, value) pairs visible at last_committed_block
+        plus the block id itself; identical across replicas iff the visible
+        states are identical.
 
         The pairs enter through an additive multiset hash (AdHash, Bellare
         and Micciancio, EUROCRYPT 1997): each pair maps to the 2048-bit
         SHAKE-256 output of its "key=value" line, and the digest is
         SHA-256 over the block id and the sum of those elements mod 2^2048.
         An install subtracts the replaced pair's element and adds the new
-        one, so each block costs O(writes), and every block's sum is kept,
-        so a past block's hash is a lookup. The modulus is wide because
-        Wagner's generalized-birthday attack (CRYPTO 2002) finds colliding
-        multisets for an n-bit AdHash in about 2^(2 sqrt(n)) work: about
-        2^32 at 256 bits, about 2^90 at 2048 bits.
+        one, so each block costs O(writes) and the store keeps one running
+        sum. The modulus is wide because Wagner's generalized-birthday
+        attack (CRYPTO 2002) finds colliding multisets for an n-bit AdHash
+        in about 2^(2 sqrt(n)) work: about 2^32 at 256 bits, about 2^90 at
+        2048 bits.
         """
-        if block is None:
-            block = self.last_committed_block
-        total = self._sums[self._materialized(block)]
         return hashlib.sha256(
-            b"block:%d\n" % block + total.to_bytes(_DIGEST_BYTES, "big")
+            b"block:%d\n" % self.last_committed_block
+            + self._sum.to_bytes(_DIGEST_BYTES, "big")
         ).hexdigest()
 
-    def visible_state(self, block: Optional[BlockId] = None) -> dict[Key, int]:
-        if block is None or block == self.last_committed_block:
-            return dict(self._latest)
-        block = self._materialized(block)
-        read = self.read
-        return {
-            key: value
-            for key in self._latest
-            if (value := read(key, block)) is not None
-        }
+    def visible_state(self) -> dict[Key, int]:
+        """The (key, value) pairs visible at last_committed_block."""
+        return dict(self._latest)
 
     @classmethod
     def from_checkpoint(
@@ -161,14 +143,13 @@ class SnapshotStore:
         base_state is kept as one dict that reads fall back to below a key's
         versions, not as a version list per key, so recovery gives the
         collector few objects to track. Versions older than the checkpoint
-        are gone, so reads, visible states and state hashes below base_block
-        raise ContractError.
+        are gone, so reads below base_block raise ContractError.
         """
         store = cls(start_block=base_block)
         store._base = dict(base_state)
         store._latest = dict(base_state)
         store._elements = {key: _pair_element(key, v) for key, v in base_state.items()}
-        store._sums[base_block] = sum(store._elements.values()) & _DIGEST_MASK
+        store._sum = sum(store._elements.values()) & _DIGEST_MASK
         store.install_block_writes(base_block + 1, last_writes)
         return store
 
@@ -203,12 +184,9 @@ class ChainLog:
         """Check the block's links and its hash over block.txns_json, which
         a sealed block already holds (Block says why the check stays sound),
         then append it and write it to the file if there is one."""
-        if block.id != len(self.blocks):
-            raise ChainError(f"expected block {len(self.blocks)}, got {block.id}")
-        if block.prev_hash != self.tip_hash:
-            raise ChainError(f"block {block.id} prev_hash does not match chain tip")
-        if not _hash_matches(block):
-            raise ChainError(f"block {block.id} hash does not match its payload")
+        fault = _link_fault(block, len(self.blocks), self.tip_hash)
+        if fault is not None:
+            raise ChainError(fault)
         self.blocks.append(block)
         if self._fh is not None:
             self._fh.write(_block_to_line(block))
@@ -220,7 +198,7 @@ class ChainLog:
         """Recompute every hash link; smallest invalid block id, None if OK."""
         prev = GENESIS_PREV_HASH
         for i, block in enumerate(self.blocks):
-            if block.id != i or block.prev_hash != prev or not _hash_matches(block):
+            if _link_fault(block, i, prev) is not None:
                 return i
             prev = block.hash
         return None
@@ -231,9 +209,21 @@ class ChainLog:
             self._fh = None
 
 
-def _hash_matches(block: Block | _LogLine) -> bool:
-    payload = block_payload(block.id, None, block.txns_json)
-    return compute_block_hash(block.prev_hash, payload) == block.hash
+_PAYLOAD_FAULT = "hash does not match its payload"
+
+
+def _link_fault(entry: Block | _LogLine, position: int, prev_hash: str) -> Optional[str]:
+    """Why `entry` cannot stand at `position` after a block hashed
+    prev_hash, or None: its id must be its position, its prev_hash that
+    hash, and its hash the hash of its payload over entry.txns_json."""
+    if entry.id != position:
+        return f"expected block {position}, found block {entry.id}"
+    if entry.prev_hash != prev_hash:
+        return f"block {entry.id}: prev_hash does not match the block before it"
+    payload = block_payload(entry.id, entry.txns_json)
+    if compute_block_hash(entry.prev_hash, payload) != entry.hash:
+        return f"block {entry.id}: {_PAYLOAD_FAULT}"
+    return None
 
 
 def _block_to_line(block: Block) -> str:
@@ -258,9 +248,6 @@ class _LogLine:
     prev_hash: str
     hash: str
     txns_json: str
-
-    def hash_matches(self) -> bool:
-        return _hash_matches(self)
 
     def txns_obj(self) -> list:
         """The txns text parsed; ChainError if it is not valid JSON."""
@@ -331,9 +318,10 @@ class CheckpointManager:
     write that failed), when the deltas since the last full checkpoint would
     hold more keys than half of it, and when MAX_DELTAS deltas follow it,
     which bounds what recovery reads and how many files it opens.
-    Once the marker naming a new full checkpoint is durable, the manager
-    deletes every other checkpoint file but the full one it wrote before,
-    the fallback for a torn write of the new one.
+    Once a new full checkpoint is durable, the manager deletes every other
+    checkpoint file but the full one it wrote before, the fallback for a
+    torn write of the new one. No other file names the newest checkpoint:
+    recovery finds it by the block numbers in the file names.
     """
 
     def __init__(self, directory: str | Path, p: int = 10):
@@ -390,10 +378,6 @@ class CheckpointManager:
         # canonical_json({"checksum": checksum, "body": body}), built around
         # the body encoded once
         _atomic_write(path, f'{{"checksum":"{checksum}","body":{encoded}}}')
-        _atomic_write(
-            self.directory / CHECKPOINT_MARKER,
-            canonical_json({"checkpoint_block": block}),
-        )
         if full:
             self._full_keys, self._delta_keys, self._deltas = len(base_state), 0, 0
             self._fulls = [*self._fulls, path][-CHECKPOINTS_KEPT:]
@@ -415,7 +399,9 @@ class CheckpointManager:
 
 
 def _checkpoint_name(block: BlockId) -> str:
-    # zero-padded names sort by block
+    """The checkpoint file of `block`. The padding keeps the names of the
+    first 10^8 blocks in block order for a directory listing; recovery
+    orders them by the number, which grows past 8 digits."""
     return f"checkpoint_{block:08d}.json"
 
 
@@ -483,23 +469,17 @@ def _load_chain(directory: Path, path: Path) -> Optional[Checkpoint]:
 
 
 def load_latest_checkpoint(directory: str | Path) -> Optional[Checkpoint]:
-    """Newest complete checkpoint; an interrupted or otherwise invalid
+    """The checkpoint with the highest block number, in its file name, whose
+    checksum and chain of bases verify; an interrupted or otherwise invalid
     write, or a delta whose chain of bases is broken, falls back to the
-    previous one."""
+    next lower block."""
     directory = Path(directory)
-    candidates = sorted(directory.glob("checkpoint_*.json"), reverse=True)
-    marker = directory / CHECKPOINT_MARKER
-    if marker.exists():
-        try:
-            with open(marker, encoding="utf-8") as fh:
-                marked = json.loads(fh.read())["checkpoint_block"]
-            preferred = directory / _checkpoint_name(marked)
-            if preferred in candidates:
-                candidates.remove(preferred)
-                candidates.insert(0, preferred)
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
-    for path in candidates:
+    numbered = [
+        (int(number), path)
+        for path in directory.glob("checkpoint_*.json")
+        if (number := path.stem[len("checkpoint_"):]).isdecimal()
+    ]
+    for _, path in sorted(numbered, reverse=True):
         checkpoint = _load_chain(directory, path)
         if checkpoint is not None:
             return checkpoint
@@ -527,12 +507,13 @@ def recover(
 
     build_engine(store, engine_state) must return an engine whose
     process_block replays deterministically. Every logged block is checked
-    before anything is replayed: its id against its position, its prev_hash
-    against the recorded hash of the block before it, and its hash against
-    its payload bytes as stored. A line that is not valid JSON raises
-    ChainError; a failed check, or a log that ends at or before the
-    checkpoint, raises RecoveryError naming the block. Only the blocks
-    after the checkpoint are decoded into transactions.
+    before anything is replayed, by the rule append_block applies: its id
+    against its position, its prev_hash against the recorded hash of the
+    block before it, and its hash against its payload bytes as stored. A
+    line that is not valid JSON raises ChainError, also when only its txns
+    are torn and its hash check fails; a failed check, or a log that ends
+    at or before the checkpoint, raises RecoveryError naming the block.
+    Only the blocks after the checkpoint are decoded into transactions.
     """
     directory = Path(directory)
     chain_path = directory / CHAIN_FILE
@@ -541,13 +522,11 @@ def recover(
     lines = _read_log(chain_path)
     prev_hash = GENESIS_PREV_HASH
     for position, line in enumerate(lines):
-        if line.id != position:
-            raise RecoveryError(f"log gap: expected block {position}, found {line.id}")
-        if line.prev_hash != prev_hash:
-            raise RecoveryError(f"block {line.id}: broken prev_hash link")
-        if not line.hash_matches():
-            line.txns_obj()  # a line torn inside its txns is corrupt, not tampered
-            raise RecoveryError(f"block {line.id}: payload does not match its hash")
+        fault = _link_fault(line, position, prev_hash)
+        if fault is not None:
+            if fault.endswith(_PAYLOAD_FAULT):
+                line.txns_obj()  # a line torn inside its txns is corrupt, not tampered
+            raise RecoveryError(fault)
         prev_hash = line.hash
     checkpoint = load_latest_checkpoint(directory)
     if checkpoint is not None:

@@ -221,7 +221,7 @@ def test_block_seal_is_stable():
     a = seal_block(0, txns, "0" * 64)
     b = seal_block(0, txns, "0" * 64)
     assert a.hash == b.hash
-    assert block_payload(a.id, a.txns) == block_payload(b.id, b.txns)
+    assert block_payload(a.id, a.txns_json) == block_payload(b.id, b.txns_json)
 
 
 def test_a_sealed_block_is_encoded_once(monkeypatch):

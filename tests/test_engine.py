@@ -357,13 +357,13 @@ def test_identical_streams_yield_identical_results_across_stores():
     blocks = _random_stream(3)
     outputs = []
     for _ in range(4):
-        store, _, results = run_chain(blocks)
-        outputs.append(
-            (
-                [store.state_hash(b) for b in range(len(blocks))],
-                [(r.committed, r.aborted, r.writes) for r in results],
-            )
-        )
+        store = SnapshotStore()
+        engine = HarmonyEngine(store, EngineOptions())
+        hashes, results = [], []
+        for block in blocks:
+            results.append(engine.process_block(block))
+            hashes.append(store.state_hash())
+        outputs.append((hashes, [(r.committed, r.aborted, r.writes) for r in results]))
     assert all(o == outputs[0] for o in outputs)
 
 
@@ -439,12 +439,12 @@ def test_engine_state_roundtrip_resumes_inter_block_decisions():
     store_a = SnapshotStore()
     engine_a = HarmonyEngine(store_a, EngineOptions(inter_block=True))
     engine_a.process_block(blocks[0])
+    state_0 = store_a.visible_state()
     result_1 = engine_a.process_block(blocks[1])
     exported = engine_a.export_state()
     # rebuild a second engine from the exported carryover, as recovery does
-    store_b = SnapshotStore.from_checkpoint(
-        0, store_a.visible_state(0), dict(result_1.writes)
-    )
+    store_b = SnapshotStore.from_checkpoint(0, state_0, dict(result_1.writes))
+    assert store_b.state_hash() == store_a.state_hash()
     engine_b = HarmonyEngine(store_b, EngineOptions(inter_block=True))
     engine_b.restore_state(exported)
     result_b = engine_b.process_block(blocks[2])

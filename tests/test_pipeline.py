@@ -3,7 +3,6 @@ import pytest
 from harmonydcc.core import ContractError, ReadStep, UpdateStep
 from harmonydcc.pipeline import (
     RunConfig,
-    Sequencer,
     SimulatedNetwork,
     build_engine,
     make_blocks,
@@ -19,21 +18,22 @@ def _programs(n, keys=30, seed=2, theta=0.7):
     return generate(spec, n)
 
 
-def test_submit_assigns_tids_in_arrival_order():
-    seq = Sequencer(block_size=25)
-    tids = [seq.submit((ReadStep("a"),)) for _ in range(30)]
-    assert tids == list(range(30))
+def test_make_blocks_assigns_tids_in_arrival_order():
+    programs = [(ReadStep(f"k{i}"),) for i in range(30)]
+    blocks = make_blocks(programs, 25)
+    txns = [txn for block in blocks for txn in block.txns]
+    assert [txn.tid for txn in txns] == list(range(30))
+    assert [txn.steps for txn in txns] == programs
 
 
 def test_blocks_cut_at_block_size_with_short_tail():
-    seq = Sequencer(block_size=25)
-    for _ in range(60):
-        seq.submit((ReadStep("a"),))
-    blocks = seq.close()
+    blocks = make_blocks([(ReadStep("a"),)] * 60, 25)
     assert [len(b.txns) for b in blocks] == [25, 25, 10]
     assert [b.id for b in blocks] == [0, 1, 2]
     assert blocks[0].txns[0].tid == 0
     assert blocks[1].txns[0].tid == 25
+    with pytest.raises(ContractError):
+        make_blocks([(ReadStep("a"),)], 0)
 
 
 def test_chain_links_are_sealed_by_the_sequencer():

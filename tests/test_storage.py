@@ -26,6 +26,7 @@ from harmonydcc.storage import (
     CheckpointManager,
     RecoveryError,
     SnapshotStore,
+    _link_fault,
     _read_log,
     load_latest_checkpoint,
     recover,
@@ -64,12 +65,12 @@ def test_install_order_enforced_and_versions_kept():
 def test_empty_block_changes_hash_only_via_block_id():
     store = SnapshotStore()
     store.install_block_writes(0, {"a": 1})
-    h0 = store.state_hash(0)
+    h0, state0 = store.state_hash(), store.visible_state()
     store.install_block_writes(1, {})
-    h1 = store.state_hash(1)
+    h1 = store.state_hash()
     assert store.last_committed_block == 1
     assert h0 != h1  # same pairs, different block id
-    assert store.visible_state(0) == store.visible_state(1)
+    assert state0 == store.visible_state()
 
 
 def test_state_hash_matches_across_identical_stores_and_detects_flips():
@@ -83,18 +84,20 @@ def test_state_hash_matches_across_identical_stores_and_detects_flips():
 
 
 def test_historical_state_hash_reconstruction():
+    """The hash recorded at block 0 is the hash of a store rebuilt to hold
+    block 0's state, after the original store has moved past it."""
     store = SnapshotStore()
     store.install_block_writes(0, {"x": 1})
-    h0 = store.state_hash(0)
+    h0 = store.state_hash()
     store.install_block_writes(1, {"x": 5, "y": 7})
-    assert store.state_hash(0) == h0
-    assert store.state_hash(1) != h0
+    assert store.state_hash() != h0
+    assert _fresh_hash({"x": 1}, 0) == h0
 
 
 def _fresh_hash(state: dict, block: int) -> str:
     fresh = SnapshotStore(start_block=block - 1)
     fresh.install_block_writes(block, state)
-    return fresh.state_hash(block)
+    return fresh.state_hash()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -118,24 +121,21 @@ def test_incremental_state_hash_equals_rebuilt_hash(seed):
         return writes
 
     store = SnapshotStore()
-    history = []
+    assert store.state_hash() == _fresh_hash({}, -1)
+    history, states, hashes = [], {}, {}
     for block in range(25):
         history.append(random_writes(store))
         store.install_block_writes(block, history[-1])
+        states[block], hashes[block] = store.visible_state(), store.state_hash()
+        assert hashes[block] == _fresh_hash(states[block], block)
     base = 9
-    rebuilt = SnapshotStore.from_checkpoint(
-        base, store.visible_state(base), history[base + 1]
-    )
-    for block in range(base + 2, 25):
-        rebuilt.install_block_writes(block, history[block])
-    for replica in (store, rebuilt):
-        for block in range(replica.first_block, 25):
-            state = replica.visible_state(block)
-            assert replica.state_hash(block) == _fresh_hash(state, block)
-    for block in range(base, 25):
-        assert rebuilt.state_hash(block) == store.state_hash(block)
-        assert rebuilt.visible_state(block) == store.visible_state(block)
-    assert store.state_hash(-1) == _fresh_hash({}, -1)
+    rebuilt = SnapshotStore.from_checkpoint(base, states[base], history[base + 1])
+    for block in range(base + 1, 25):
+        if block > base + 1:
+            rebuilt.install_block_writes(block, history[block])
+        assert rebuilt.state_hash() == _fresh_hash(rebuilt.visible_state(), block)
+        assert rebuilt.state_hash() == hashes[block]
+        assert rebuilt.visible_state() == states[block]
 
 
 @pytest.mark.parametrize("base_state", [{"a": 1}, {}])
@@ -145,9 +145,9 @@ def test_recovered_store_rejects_reads_below_its_checkpoint(base_state):
     with pytest.raises(ContractError):
         store.read("a", 3)
     with pytest.raises(ContractError):
-        store.visible_state(3)
-    with pytest.raises(ContractError):
-        store.state_hash(3)
+        store.read("a", 7)
+    assert store.visible_state() == base_state
+    assert store.state_hash() == _fresh_hash(base_state, 6)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -157,23 +157,22 @@ def test_store_from_checkpoint_answers_like_the_original(seed):
     rng = random.Random(seed)
     keys = [f"k{i}" for i in range(40)]
     original = SnapshotStore()
+    base = 6
     for block in range(8):
         writes = {key: rng.randint(-9, 9) for key in rng.sample(keys, 8)}
         original.install_block_writes(block, writes)
-    base = 6
-    rebuilt = SnapshotStore.from_checkpoint(base, original.visible_state(base), writes)
+        if block == base:
+            base_state = original.visible_state()
+    rebuilt = SnapshotStore.from_checkpoint(base, base_state, writes)
     for block in (base, base + 1):
         for key in [*keys, "never-written"]:
             assert rebuilt.read(key, block) == original.read(key, block)
-        assert rebuilt.visible_state(block) == original.visible_state(block)
-        assert rebuilt.state_hash(block) == original.state_hash(block)
+    assert rebuilt.visible_state() == original.visible_state()
+    assert rebuilt.state_hash() == original.state_hash()
+    assert rebuilt.state_hash() == _fresh_hash(rebuilt.visible_state(), base + 1)
     for below in (base - 1, -1):
         with pytest.raises(ContractError):
             rebuilt.read(keys[0], below)
-        with pytest.raises(ContractError):
-            rebuilt.visible_state(below)
-        with pytest.raises(ContractError):
-            rebuilt.state_hash(below)
 
 
 def test_written_checkpoint_and_log_line_are_canonical_json(tmp_path):
@@ -201,7 +200,7 @@ def test_written_checkpoint_and_log_line_are_canonical_json(tmp_path):
         Transaction(1, 0, (UpdateStep("b", "set", 5),)),
     )
     block = seal_block(0, txns, GENESIS_PREV_HASH)
-    assert block_payload(0, txns) == canonical_json(
+    assert block_payload(0, block.txns_json) == canonical_json(
         {"id": 0, "txns": [t.to_obj() for t in txns]}
     ).encode()
     chain = ChainLog(tmp_path / "chain.log")
@@ -287,7 +286,10 @@ def test_verify_chain_clean_and_roundtrip(tmp_path):
     chain.close()
     assert chain.verify_chain() is None
     lines = _read_log(path)
-    assert all(line.hash_matches() for line in lines)
+    prev_hash = GENESIS_PREV_HASH
+    for position, line in enumerate(lines):
+        assert _link_fault(line, position, prev_hash) is None
+        prev_hash = line.hash
     assert [line.decode() for line in lines] == blocks
 
 
@@ -522,8 +524,42 @@ def test_checkpoint_preserves_previous_files(tmp_path):
     _run_replica(tmp_path, 25, p=10)
     assert (tmp_path / "checkpoint_00000010.json").exists()
     assert (tmp_path / "checkpoint_00000020.json").exists()
-    marker = json.loads((tmp_path / "block_checkpoint_log.json").read_text())
-    assert marker == {"checkpoint_block": 20}
+    assert all(
+        path.name == "chain.log" or path.match("checkpoint_*.json")
+        for path in tmp_path.iterdir()
+    )
+
+
+def test_recover_takes_the_newest_checkpoint_over_a_marker_naming_an_older_one(tmp_path):
+    """A directory written when a marker file named the checkpoint to load:
+    the marker names checkpoint 10, but checkpoint 20 is valid, so recovery
+    starts from 20 and ignores the marker."""
+    _, replica = _run_replica(tmp_path, 25, p=10)
+    (tmp_path / "block_checkpoint_log.json").write_text('{"checkpoint_block":10}')
+    assert load_latest_checkpoint(tmp_path).block == 20
+    recovered = recover(tmp_path, _harmony_builder)
+    assert min(recovered.state_hashes) == 21
+    assert recovered.store.state_hash() == replica.state_hashes[-1]
+
+
+def test_newest_checkpoint_is_chosen_by_block_number_not_by_name(tmp_path):
+    """Names pad block ids to 8 digits, so checkpoint 100,000,000 sorts
+    before checkpoint 99,999,990 by name; recovery still loads the newer."""
+    store = SnapshotStore(start_block=99_999_979)
+    manager = CheckpointManager(tmp_path, p=10)
+    history = []
+    for block in range(99_999_980, 100_000_001):
+        history.append({f"k{block % 7}": block % 100})
+        store.install_block_writes(block, history[-1])
+        manager.maybe_checkpoint(store, history[-1], None)
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "checkpoint_100000000.json",
+        "checkpoint_99999990.json",
+    ]
+    checkpoint = load_latest_checkpoint(tmp_path)
+    assert checkpoint.block == 100_000_000
+    assert checkpoint.base_state == _state_at(history, len(history) - 2)
+    assert checkpoint.last_writes == history[-1]
 
 
 def test_checkpoint_keeps_only_the_two_newest(tmp_path):
@@ -568,6 +604,15 @@ def _drive(directory: Path, n_blocks: int, p: int, skip=(), per_block=30, seed=0
     return store, history, kinds
 
 
+def _state_at(history: list[dict], block: int) -> dict:
+    """The state after block `block` of a store whose first block is
+    history[0], rebuilt from the writes alone."""
+    state = {}
+    for writes in history[: block + 1]:
+        state.update(writes)
+    return state
+
+
 def _body(directory: Path, block: int) -> dict:
     return json.loads((directory / f"checkpoint_{block:08d}.json").read_text())["body"]
 
@@ -584,7 +629,7 @@ def test_delta_chain_loads_as_the_full_checkpoint_of_the_same_store(tmp_path):
     assert "base" not in _body(full_dir, 40)
     rebuilt = load_latest_checkpoint(tmp_path / "chain")
     assert rebuilt == load_latest_checkpoint(full_dir)
-    assert rebuilt.base_state == store.visible_state(39)
+    assert rebuilt.base_state == _state_at(history, 39)
 
 
 def test_first_checkpoint_and_one_after_a_missed_block_are_full(tmp_path):
@@ -633,13 +678,13 @@ def test_delta_chain_is_bounded_by_its_length(tmp_path):
     chain: a 2,000-key store followed by 1,000 empty blocks, checkpointed
     after every block, writes a full checkpoint after every MAX_DELTAS
     deltas and keeps at most those deltas and two full checkpoints."""
-    store, _, kinds = _drive(tmp_path, 1001, p=1, per_block=0)
+    _, history, kinds = _drive(tmp_path, 1001, p=1, per_block=0)
     fulls = [block for block, kind in kinds.items() if kind == "full"]
     assert fulls == list(range(1, 1001, MAX_DELTAS + 1))
     assert len(list(tmp_path.glob("checkpoint_*.json"))) <= MAX_DELTAS + 2
     checkpoint = load_latest_checkpoint(tmp_path)
     assert checkpoint.block == 1000
-    assert checkpoint.base_state == store.visible_state(999)
+    assert checkpoint.base_state == _state_at(history, 999)
 
 
 def test_delta_lists_changed_keys_in_first_write_order(tmp_path):
