@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from . import oracle
 from .core import ContractError
 from .pipeline import ENGINE_KINDS, RunConfig, make_blocks, run_replicas
+from .storage import SnapshotStore
 from .workloads import WORKLOAD_KINDS, WorkloadSpec, generate
 
 CSV_COLUMNS = (
@@ -111,11 +112,19 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunMetrics, dict[str, str]
     total = committed + aborted
     false_rate: Optional[float] = None
     if config.oracle_check:
+        # a store of its own, fed the reported writes: a replica store that
+        # installs other values than it reports then fails the hash check
         problems: list[str] = []
-        store = outcome.stores[0]
+        store = SnapshotStore()
         false_aborts = 0
-        for block, result in zip(blocks, results):
+        for block, result, recorded in zip(blocks, results, outcome.hash_matrix[0]):
             problems.extend(oracle.check_block(block, result, store))
+            store.install_block_writes(block.id, result.writes)
+            if store.state_hash() != recorded:
+                problems.append(
+                    f"block {block.id}: the replica's state hash is not that "
+                    f"of its reported writes"
+                )
             for tid in result.aborted:
                 if oracle.false_abort(result, tid):
                     false_aborts += 1

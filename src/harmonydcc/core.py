@@ -161,13 +161,12 @@ def execute_program(
     tid: Tid,
     steps: tuple[Step, ...],
     read_value: Callable[[Key], Value],
-) -> tuple[list[tuple[Key, Value, bool]], dict[Key, Command], list[Key]]:
+) -> tuple[list[tuple[Key, Value, bool]], dict[Key, Command]]:
     """Interpret a program against a read callback.
 
-    Returns (reads, commands, updated_keys) where reads are
-    (key, observed, own_read) triples in program order, commands hold one
-    pre-coalesced command per updated key, and updated_keys lists keys in
-    first-update order.
+    Returns (reads, commands) where reads are (key, observed, own_read)
+    triples in program order and commands hold one pre-coalesced command
+    per updated key, in first-update order.
 
     A read of a key the transaction already updated is served by evaluating
     its own command chain on the underlying value, and is still recorded so
@@ -175,7 +174,6 @@ def execute_program(
     """
     reads: list[tuple[Key, Value, bool]] = []
     commands: dict[Key, Command] = {}
-    updated: list[Key] = []
     last_read: dict[Key, Value] = {}
     pc = 0
     n = len(steps)
@@ -194,7 +192,6 @@ def execute_program(
             prev = commands.get(step.key)
             if prev is None:
                 commands[step.key] = cmd
-                updated.append(step.key)
             else:
                 commands[step.key] = compose((prev, cmd))
         elif kind is BranchStep:
@@ -210,7 +207,7 @@ def execute_program(
                     raise ProgramError(f"T{tid} branch skips past program end")
         else:
             raise ProgramError(f"unknown step {step!r}")
-    return reads, commands, updated
+    return reads, commands
 
 
 def run_serially(
@@ -229,9 +226,9 @@ def run_serially(
 
     executed = {}
     for txn in txns:
-        reads, commands, updated = execute_program(txn.tid, txn.steps, live_read)
-        for key in updated:
-            overlay[key] = apply_command(commands[key], live_read(key))
+        reads, commands = execute_program(txn.tid, txn.steps, live_read)
+        for key, command in commands.items():
+            overlay[key] = apply_command(command, live_read(key))
         executed[txn.tid] = (reads, commands)
     return executed, overlay
 

@@ -167,7 +167,7 @@ class HarmonyEngine:
 
         for txn in block.txns:
             tid = txn.tid
-            raw_reads, commands, _ = execute_program(tid, txn.steps, read)
+            raw_reads, commands = execute_program(tid, txn.steps, read)
             records = []
             for key, observed, own in raw_reads:
                 records.append(ReadRecord(key, snapshot, observed, own))

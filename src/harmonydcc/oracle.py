@@ -140,7 +140,9 @@ def hit_rate(results) -> float:
 
 
 def check_block(block: Block, result: BlockResult, store: SnapshotStore) -> list[str]:
-    """Run the full oracle on one processed block; empty list when clean."""
+    """Run the full oracle on one processed block; empty list when clean.
+    The store must still hold the pre-block snapshot: it is at the block
+    before, or at the block itself."""
     problems: list[str] = []
     graph = build_graph(result)
     if not is_acyclic(graph):

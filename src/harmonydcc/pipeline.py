@@ -198,7 +198,6 @@ class RunOutcome:
     results: list[list[BlockResult]]
     makespans: list[float]
     halted: list[bool]
-    stores: list[SnapshotStore]
 
     def rows_identical(self) -> bool:
         return all(row == self.hash_matrix[0] for row in self.hash_matrix[1:])
@@ -235,11 +234,7 @@ def tamper_block(block: Block) -> Block:
     return Block(id=block.id, txns=txns, prev_hash=block.prev_hash, hash=block.hash)
 
 
-def run_replicas(
-    blocks: Sequence[Block],
-    config: RunConfig,
-    tamper: Optional[tuple[int, int]] = None,  # (replica_id, block_id)
-) -> RunOutcome:
+def run_replicas(blocks: Sequence[Block], config: RunConfig) -> RunOutcome:
     """Deliver every block to every replica after its sampled delay and run
     each replica's engine; returns the per-replica per-block state hashes.
 
@@ -256,8 +251,6 @@ def run_replicas(
         replicas.append(replica)
         commit_end: dict[int, float] = {}
         for at, block in zip(net.delivery_times(rid, len(blocks)), blocks):
-            if tamper == (rid, block.id):
-                block = tamper_block(block)
             result = replica.receive(block)
             if result is None:
                 continue
@@ -273,5 +266,4 @@ def run_replicas(
         results=[r.results for r in replicas],
         makespans=makespans,
         halted=[r.halted for r in replicas],
-        stores=[r.store for r in replicas],
     )

@@ -1,4 +1,4 @@
-"""Multi-versioned block-snapshot store, hash chain, logical log, recovery.
+"""Two-snapshot block store, hash chain, logical log, recovery.
 
 Recovery relies purely on determinism: the log keeps only the ordered input
 blocks (logical logging), and replaying them from the newest complete
@@ -10,7 +10,6 @@ import hashlib
 import json
 import os
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -46,66 +45,55 @@ class RecoveryError(RuntimeError):
 
 
 class SnapshotStore:
-    """Key/value store versioned by block id.
+    """Key/value store holding two snapshots: last_committed_block and the
+    block before it, the only ones an engine reads (a block simulates at
+    b-1, or at b-2 with inter-block parallelism, and commits on b-1).
 
-    A read at snapshot b returns the value of the largest version <= b.
-    Installs are serialized by block id, and last_committed_block only
-    advances after every version of the block is in place. Reads are
-    answered for snapshots from first_block on: a fresh store's
-    start_block, or the checkpoint's base block after from_checkpoint. A
-    store that starts at genesis (-1) holds the empty state for every
-    earlier id as well, since no block precedes genesis. The visible state
-    and the state hash are those of last_committed_block.
+    The state at last_committed_block is one dict; the block before it is
+    that dict under the last install's before-images, each key the last
+    block wrote mapped to its previous value, or to None where the key was
+    absent. Reads at any other snapshot raise ContractError. A fresh store
+    holds the empty state at start_block and the block before it. Installs
+    are serialized by block id, and last_committed_block only advances
+    after every write of the block is in place. The visible state and the
+    state hash are those of last_committed_block.
     """
 
     def __init__(self, start_block: BlockId = -1):
-        self._versions: dict[Key, list[tuple[BlockId, int]]] = {}
-        self._base: dict[Key, int] = {}  # values at first_block, below every version
         self._latest: dict[Key, int] = {}
+        self._before: dict[Key, Optional[int]] = {}  # the last block's before-images
         self._elements: dict[Key, int] = {}  # digest element of each visible pair
         self._sum = 0  # digest sum of the visible pairs
-        self.first_block: BlockId = start_block
         self.last_committed_block: BlockId = start_block
 
     def read(self, key: Key, snapshot: BlockId) -> Value:
-        if snapshot == self.last_committed_block:
+        last = self.last_committed_block
+        if snapshot == last:
             return self._latest.get(key)
-        if snapshot > self.last_committed_block:
-            raise ContractError(
-                f"snapshot {snapshot} not materialized "
-                f"(last committed block is {self.last_committed_block})"
-            )
-        if snapshot < self.first_block and self.first_block != -1:
-            raise ContractError(
-                f"snapshot {snapshot} precedes the store's first block {self.first_block}"
-            )
-        versions = self._versions.get(key)
-        if not versions:
-            return self._base.get(key)
-        idx = bisect_right(versions, snapshot, key=lambda entry: entry[0])
-        if idx == 0:
-            return self._base.get(key)
-        return versions[idx - 1][1]
+        if snapshot == last - 1:
+            before = self._before
+            return before[key] if key in before else self._latest.get(key)
+        raise ContractError(
+            f"snapshot {snapshot} is not held: the store holds blocks "
+            f"{last - 1} and {last}"
+        )
 
     def install_block_writes(self, block: BlockId, writes: dict[Key, int]) -> None:
         if block != self.last_committed_block + 1:
             raise ContractError(
                 f"out-of-order install: block {block} after {self.last_committed_block}"
             )
-        versions = self._versions
         latest = self._latest
         elements = self._elements
+        before = {}
         total = self._sum
         for key, value in writes.items():
-            slot = versions.get(key)
-            if slot is None:
-                versions[key] = [(block, value)]
-            else:
-                slot.append((block, value))
+            before[key] = latest.get(key)
             latest[key] = value
             element = _pair_element(key, value)
             total += element - elements.get(key, 0)
             elements[key] = element
+        self._before = before
         self._sum = total & _DIGEST_MASK
         self.last_committed_block = block
 
@@ -138,15 +126,12 @@ class SnapshotStore:
     def from_checkpoint(
         cls, base_block: BlockId, base_state: dict[Key, int], last_writes: dict[Key, int]
     ) -> "SnapshotStore":
-        """Rebuild a store holding snapshots base_block and base_block + 1.
-
-        base_state is kept as one dict that reads fall back to below a key's
-        versions, not as a version list per key, so recovery gives the
-        collector few objects to track. Versions older than the checkpoint
-        are gone, so reads below base_block raise ContractError.
+        """Rebuild the store a replica held after block base_block + 1:
+        base_state at base_block, then last_writes installed. It answers
+        the same reads as that replica's store, at base_block and
+        base_block + 1, and raises ContractError at any other snapshot.
         """
         store = cls(start_block=base_block)
-        store._base = dict(base_state)
         store._latest = dict(base_state)
         store._elements = {key: _pair_element(key, v) for key, v in base_state.items()}
         store._sum = sum(store._elements.values()) & _DIGEST_MASK

@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import BranchStep, ContractError, ReadStep, Step, UpdateStep
 
@@ -32,8 +31,6 @@ class ZipfSampler:
             raise ContractError("key count must be positive")
         if not 0.0 <= theta <= 1.0:
             raise ContractError("theta must lie in [0, 1]")
-        self.n = n
-        self.theta = theta
         self._rng = rng
         cumulative = []
         total = 0.0
@@ -57,7 +54,6 @@ class WorkloadSpec:
     hotspot_fraction: float = 0.01
     hotspot_prob: float = 0.0
     seed: int = 0
-    mix: Optional[tuple[float, ...]] = None  # smallbank procedure weights
 
 
 def _key(rank: int) -> str:
@@ -99,16 +95,6 @@ def gen_ycsb(spec: WorkloadSpec, count: int) -> list[Program]:
 # ---------------------------------------------------------------------------
 # Smallbank
 
-SMALLBANK_PROCS = (
-    "amalgamate",
-    "balance",
-    "deposit_checking",
-    "send_payment",
-    "transact_savings",
-    "write_check",
-)
-
-
 def _checking(account: int) -> str:
     return f"c:{account:05d}"
 
@@ -120,19 +106,15 @@ def _savings(account: int) -> str:
 def gen_smallbank(spec: WorkloadSpec, count: int) -> list[Program]:
     """The six banking procedures over paired checking/savings keys.
 
-    Account selection is Zipf-skewed; the mix is uniform unless spec.mix
-    says otherwise. Balance guards are expressed with branch steps, and
-    amounts are fixed at generation time since update operands are
-    constants.
+    Account selection is Zipf-skewed and the procedure mix is uniform.
+    Balance guards are expressed with branch steps, and amounts are fixed
+    at generation time since update operands are constants.
     """
     rng = random.Random(spec.seed)
     zipf = ZipfSampler(spec.keys, spec.theta, rng)
-    weights = spec.mix or (1.0,) * len(SMALLBANK_PROCS)
-    if len(weights) != len(SMALLBANK_PROCS):
-        raise ContractError("smallbank mix needs one weight per procedure")
     programs = []
     for _ in range(count):
-        proc = rng.choices(SMALLBANK_PROCS, weights=weights)[0]
+        (proc,) = rng.choices(SMALLBANK_PROCS)
         programs.append(_SMALLBANK_BUILDERS[proc](rng, zipf, spec.keys))
     return programs
 
@@ -209,6 +191,7 @@ _SMALLBANK_BUILDERS = {
     "transact_savings": _transact_savings,
     "write_check": _write_check,
 }
+SMALLBANK_PROCS = tuple(_SMALLBANK_BUILDERS)
 
 
 def generate(spec: WorkloadSpec, count: int) -> list[Program]:

@@ -6,6 +6,7 @@ import pytest
 from harmonydcc.bench import (
     CSV_COLUMNS,
     ExperimentConfig,
+    OracleViolation,
     compare,
     main,
     run_experiment,
@@ -47,6 +48,25 @@ def test_oracle_mode_fills_false_abort_rate():
     assert metrics.false_abort_rate is not None
     assert row["false_abort_rate"] != ""
     assert 0.0 <= metrics.false_abort_rate <= metrics.abort_rate
+
+
+def test_oracle_check_catches_a_replica_store_installing_other_values(monkeypatch):
+    """The replica's store installs a value other than the reported one at
+    block 3; the oracle replays the reported writes into its own store, so
+    the replica's state hash no longer matches from that block on."""
+    from harmonydcc import pipeline
+    from harmonydcc.storage import SnapshotStore
+
+    class SkewedStore(SnapshotStore):
+        def install_block_writes(self, block, writes):
+            if block == 3 and writes:
+                key = min(writes)
+                writes = {**writes, key: writes[key] + 1}
+            super().install_block_writes(block, writes)
+
+    monkeypatch.setattr(pipeline, "SnapshotStore", SkewedStore)
+    with pytest.raises(OracleViolation, match="block 3: "):
+        run_experiment(_tiny(oracle_check=True, txns=120))
 
 
 def test_cli_run_writes_csv_and_dat(tmp_path, capsys):

@@ -135,16 +135,16 @@ def test_kept_block_results_hold_no_commands_the_collector_tracks():
 
 def test_own_read_sees_pending_update():
     steps = (UpdateStep("x", "add", 10), ReadStep("x"))
-    reads, commands, updated = execute_program(1, steps, lambda k: 10)
+    reads, commands = execute_program(1, steps, lambda k: 10)
     assert reads == [("x", 20, True)]
-    assert updated == ["x"]
+    assert list(commands) == ["x"]
     assert apply_command(commands["x"], 10) == 20
 
 
 def test_repeated_updates_pre_coalesce():
     steps = (UpdateStep("x", "add", 1), UpdateStep("x", "add", 2))
-    _, commands, updated = execute_program(1, steps, lambda k: 0)
-    assert updated == ["x"]  # one reservation entry per key per transaction
+    _, commands = execute_program(1, steps, lambda k: 0)
+    assert list(commands) == ["x"]  # one command per key per transaction
     assert apply_command(commands["x"], 10) == 13
 
 
@@ -154,9 +154,9 @@ def test_branch_guard_skips_when_false():
         BranchStep("bal", "ge", 5, 1),
         UpdateStep("bal", "add", -5),
     )
-    _, commands, _ = execute_program(1, steps, lambda k: 3)
+    _, commands = execute_program(1, steps, lambda k: 3)
     assert commands == {}
-    _, commands, _ = execute_program(1, steps, lambda k: 8)
+    _, commands = execute_program(1, steps, lambda k: 8)
     assert apply_command(commands["bal"], 8) == 3
 
 
@@ -166,7 +166,7 @@ def test_branch_treats_absent_as_zero():
         BranchStep("k", "eq", 0, 1),
         UpdateStep("k", "set", 1),
     )
-    _, commands, _ = execute_program(1, steps, lambda k: None)
+    _, commands = execute_program(1, steps, lambda k: None)
     assert "k" in commands
 
 

@@ -475,9 +475,9 @@ def test_own_read_matches_serial_replay_observation():
     for tid in order:
         def live(key, _overlay=overlay):
             return _overlay.get(key, store.read(key, 0))
-        raw, commands, updated = execute_program(tid, txns[tid].steps, live)
+        raw, commands = execute_program(tid, txns[tid].steps, live)
         if tid == 1:
             replay_reads = {k: v for k, v, _ in raw}
-        for key in updated:
+        for key in commands:
             overlay[key] = apply_command(commands[key], live(key))
     assert replay_reads["x"] == sim_read.observed

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from harmonydcc.core import ReadStep, UpdateStep
+from harmonydcc.engine import EngineOptions, HarmonyEngine
 from harmonydcc.oracle import (
     DependencyGraph,
     build_graph,
@@ -193,6 +194,9 @@ def test_hit_rate_equals_abort_rate_without_other_abort_sources():
 def test_check_block_clean_on_engine_output():
     spec = WorkloadSpec(kind="ycsb", keys=30, ops_per_txn=5, theta=0.8, seed=9)
     blocks = make_blocks(generate(spec, 120), 12)
-    store, _, results = run_chain(blocks)
-    for block, result in zip(blocks, results):
+    store = SnapshotStore()
+    engine = HarmonyEngine(store, EngineOptions())
+    for block in blocks:
+        # the store holds the block's pre-block snapshot only until the next one
+        result = engine.process_block(block)
         assert check_block(block, result, store) == []

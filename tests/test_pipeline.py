@@ -2,6 +2,7 @@ import pytest
 
 from harmonydcc.core import ContractError, ReadStep, UpdateStep
 from harmonydcc.pipeline import (
+    Replica,
     RunConfig,
     SimulatedNetwork,
     build_engine,
@@ -77,15 +78,18 @@ def test_heavy_delays_do_not_change_state_hashes(inter_block):
 
 def test_tampered_replica_halts_while_others_finish():
     blocks = make_blocks(_programs(60), 10)
-    outcome = run_replicas(
-        blocks,
-        RunConfig(replicas=3, delay_max=0.0, seed=1),
-        tamper=(1, 3),
-    )
-    assert outcome.halted == [False, True, False]
-    assert len(outcome.hash_matrix[1]) == 3  # processed blocks 0..2 then stopped
-    assert outcome.hash_matrix[0] == outcome.hash_matrix[2]
-    assert len(outcome.hash_matrix[0]) == len(blocks)
+    config = RunConfig(replicas=3, delay_max=0.0, seed=1)
+    replicas = [Replica(rid, config) for rid in range(3)]
+    for replica in replicas:
+        for block in blocks:
+            if replica.id == 1 and block.id == 3:
+                block = tamper_block(block)
+            replica.receive(block)
+    assert [r.halted for r in replicas] == [False, True, False]
+    # the tampered replica processed blocks 0..2, then stopped
+    assert replicas[1].state_hashes == replicas[0].state_hashes[:3]
+    assert replicas[0].state_hashes == replicas[2].state_hashes
+    assert len(replicas[0].state_hashes) == len(blocks)
 
 
 def test_tamper_block_breaks_payload_hash():

@@ -43,7 +43,32 @@ def test_read_returns_latest_version_at_or_below_snapshot():
     store.install_block_writes(4, {})
     store.install_block_writes(5, {})
     assert store.read("k", 5) == 9
-    assert store.read("k", 2) is None
+    assert store.read("k", 4) == 9
+
+
+def test_store_holds_the_last_block_and_the_one_before_only():
+    store = SnapshotStore()
+    store.install_block_writes(0, {"a": 1, "u": 2})
+    for block in range(1, 5):
+        store.install_block_writes(block, {})
+    store.install_block_writes(5, {"a": 3, "new": 4})
+    assert store.read("a", 5) == 3
+    assert store.read("a", 4) == 1  # the before-image
+    assert store.read("new", 5) == 4
+    assert store.read("new", 4) is None  # first written at 5
+    assert store.read("u", 5) == store.read("u", 4) == 2  # not written at 5
+    assert store.read("never-written", 4) is None
+    for outside in (3, 0, 6):
+        with pytest.raises(ContractError):
+            store.read("a", outside)
+
+
+def test_fresh_store_holds_the_empty_state_at_genesis_and_the_block_before():
+    store = SnapshotStore()
+    assert store.read("k", -1) is None
+    assert store.read("k", -2) is None  # inter-block block 0 reads here
+    with pytest.raises(ContractError):
+        store.read("k", -3)
 
 
 def test_read_above_materialized_block_is_contract_violation():
@@ -173,6 +198,34 @@ def test_store_from_checkpoint_answers_like_the_original(seed):
     for below in (base - 1, -1):
         with pytest.raises(ContractError):
             rebuilt.read(keys[0], below)
+
+
+def _answer(store, key, snapshot):
+    try:
+        return store.read(key, snapshot)
+    except ContractError:
+        return ContractError
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_live_and_recovered_stores_answer_and_refuse_the_same_snapshots(seed):
+    """A store rebuilt from a checkpoint at any block answers reads at the
+    last block and the one before exactly as the live store did there, and
+    refuses the block before those, as the live store does."""
+    rng = random.Random(seed)
+    keys = [f"k{i}" for i in range(20)]
+    live = SnapshotStore()
+    previous_state = live.visible_state()
+    for block in range(10):
+        writes = {key: rng.randint(-9, 9) for key in rng.sample(keys, rng.randint(0, 6))}
+        live.install_block_writes(block, writes)
+        rebuilt = SnapshotStore.from_checkpoint(block - 1, previous_state, writes)
+        for snapshot in (block, block - 1, block - 2):
+            for key in [*keys, "never-written"]:
+                expected = _answer(live, key, snapshot)
+                assert _answer(rebuilt, key, snapshot) == expected
+        assert _answer(live, keys[0], block - 2) is ContractError
+        previous_state = live.visible_state()
 
 
 def test_written_checkpoint_and_log_line_are_canonical_json(tmp_path):

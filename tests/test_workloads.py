@@ -10,7 +10,6 @@ from harmonydcc.core import ContractError, ReadStep, UpdateStep
 from harmonydcc.pipeline import make_blocks
 from harmonydcc.storage import SnapshotStore
 from harmonydcc.workloads import (
-    SMALLBANK_PROCS,
     WorkloadSpec,
     ZipfSampler,
     gen_smallbank,
@@ -110,15 +109,6 @@ def test_smallbank_uses_paired_account_keys():
     assert all(k.startswith(("c:", "s:")) for k in keys)
 
 
-def test_smallbank_mix_is_configurable():
-    deposit_only = tuple(
-        1.0 if proc == "deposit_checking" else 0.0 for proc in SMALLBANK_PROCS
-    )
-    spec = WorkloadSpec(kind="smallbank", keys=50, seed=4, mix=deposit_only)
-    programs = gen_smallbank(spec, 30)
-    assert all(len(p) == 1 and isinstance(p[0], UpdateStep) for p in programs)
-
-
 def test_deposit_checking_adds_amount():
     # run one deposit against a seeded balance through the serial executor
     seed_program = (UpdateStep("c:00003", "set", 10),)
@@ -148,10 +138,10 @@ def test_send_payment_guard_blocks_insufficient_funds():
     program = _send_payment(rng, _FixedZipf(), 10)
     amount = program[1].operand
     # balance below the amount: the guard skips both updates
-    _, commands, _ = execute_program(1, program, lambda k: amount - 2)
+    _, commands = execute_program(1, program, lambda k: amount - 2)
     assert commands == {}
     # sufficient balance: debit and credit both emitted
-    _, commands, _ = execute_program(1, program, lambda k: amount + 2)
+    _, commands = execute_program(1, program, lambda k: amount + 2)
     assert len(commands) == 2
 
 
@@ -167,12 +157,12 @@ def test_write_check_penalty_branches():
 
     program = _write_check(rng, _OneAccount(), 10)
     amount = program[2].operand
-    _, commands, _ = execute_program(1, program, lambda k: amount + 50)
+    _, commands = execute_program(1, program, lambda k: amount + 50)
     applied = commands["c:00000"]
     from harmonydcc.core import apply_command
 
     assert apply_command(applied, amount + 50) == 50  # normal path
-    _, commands, _ = execute_program(1, program, lambda k: amount - 1)
+    _, commands = execute_program(1, program, lambda k: amount - 1)
     assert apply_command(commands["c:00000"], amount - 1) == -2  # penalty path
 
 
