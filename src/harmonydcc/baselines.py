@@ -20,7 +20,6 @@ from .core import (
     BlockId,
     ContractError,
     Key,
-    ReadRecord,
     Tid,
     reads_input,
     run_serially,
@@ -46,14 +45,13 @@ class _SnapshotBaseline(HarmonyEngine):
         exec_ = super().simulate(block, snapshot)
         store = self.store
         for tid, commands in exec_.commands.items():
-            read_keys = {record.key for record in exec_.reads[tid]}
+            read_keys = {key for key, _, _ in exec_.reads[tid]}
             implied = tuple(
-                ReadRecord(key, snapshot, store.read(key, snapshot), False)
+                (key, store.read(key, snapshot), False)
                 for key, command in commands.items()
                 if reads_input(command) and key not in read_keys
             )
-            if implied:
-                exec_.reads[tid] += implied
+            exec_.reads[tid] += implied
         return exec_
 
     def restore_state(self, state: Optional[dict]) -> None:
@@ -71,7 +69,7 @@ class FabricEngine(_SnapshotBaseline):
         committed_writes: set[Key] = set()
         for txn in exec_.block.txns:
             tid = txn.tid
-            if any(record.key in committed_writes for record in exec_.reads[tid]):
+            if any(key in committed_writes for key, _, _ in exec_.reads[tid]):
                 aborted.add(tid)
                 continue
             committed_writes.update(exec_.commands[tid])
@@ -92,8 +90,8 @@ class AriaEngine(_SnapshotBaseline):
                 continue
             stale = any(
                 w < tid and w not in ww_losers
-                for record in exec_.reads[tid]
-                for w in exec_.writers_of.get(record.key, ())
+                for key, _, _ in exec_.reads[tid]
+                for w in exec_.writers_of.get(key, ())
             )
             if not stale:
                 continue
@@ -115,13 +113,11 @@ class SerialEngine(_SnapshotBaseline):
     the commit step's TID-order composition per key gives the live value."""
 
     def simulate(self, block: Block, snapshot: BlockId) -> BlockExecution:
-        exec_ = BlockExecution(block=block, snapshot=snapshot)
+        exec_ = BlockExecution(block)
         read = self.store.read
         executed, _ = run_serially(block.txns, lambda key: read(key, snapshot))
         for tid, (reads, commands) in executed.items():
-            exec_.reads[tid] = tuple(
-                ReadRecord(key, snapshot, observed, own) for key, observed, own in reads
-            )
+            exec_.reads[tid] = tuple(reads)
             exec_.commands[tid] = commands
             for key in commands:
                 exec_.writers_of.setdefault(key, []).append(tid)

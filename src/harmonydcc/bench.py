@@ -116,20 +116,18 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunMetrics, dict[str, str]
         # installs other values than it reports then fails the hash check
         problems: list[str] = []
         store = SnapshotStore()
-        false_aborts = 0
+        check = oracle.check_serial_block if config.engine == "serial" else oracle.check_block
         for block, result, recorded in zip(blocks, results, outcome.hash_matrix[0]):
-            problems.extend(oracle.check_block(block, result, store))
+            problems.extend(check(block, result, store))
             store.install_block_writes(block.id, result.writes)
             if store.state_hash() != recorded:
                 problems.append(
                     f"block {block.id}: the replica's state hash is not that "
                     f"of its reported writes"
                 )
-            for tid in result.aborted:
-                if oracle.false_abort(result, tid):
-                    false_aborts += 1
         if problems:
             raise OracleViolation("; ".join(problems))
+        false_aborts = sum(len(oracle.false_aborts(result)) for result in results)
         false_rate = false_aborts / total if total else 0.0
     metrics = RunMetrics(
         committed=committed,

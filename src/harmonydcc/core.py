@@ -4,10 +4,10 @@ Transactions are small interpreted programs (read steps, guarded branch
 steps, update steps) rather than host-language closures, so blocks can be
 serialized, hashed, logged, and replayed bit-exactly. Update steps emit
 read-modify-write commands (add / mul / set) instead of computed values;
-commands compose left-to-right and are evaluated once, at commit time. A
-command is an exact (kind, operand, issuer) tuple, not a NamedTuple: the
-cyclic collector untracks such tuples, so full collections do not walk the
-commands of every BlockResult a replica keeps.
+commands compose left-to-right and are evaluated once, at commit time.
+Commands and reads stay exact (kind, operand, issuer) and (key, observed,
+own) tuples, which the cyclic collector untracks, so it does not walk those
+a kept BlockResult holds; ReadRecords are built from reads on access.
 
 All values are signed 64-bit integers. A key that was never written reads
 as absent (None); arithmetic commands treat absent as 0.

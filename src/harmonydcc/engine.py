@@ -3,15 +3,15 @@
 Each block is processed in two steps. The simulation step runs every
 transaction against the same block snapshot, recording its reads and its
 pre-coalesced update command per key, and indexes the block's readers and
-writers of every key as it goes. The reservation table is that writer index
-plus each writer's command. The commit step resolves read/write
-dependencies, aborts transactions caught in the dangerous read-dependency
-pattern, orders the surviving update commands per key by ascending min_out
-(ties by TID), coalesces them, and installs the block's writes. Which
-transactions abort is one method, `abort_set`. Every engine kind runs this
-commit step: the baselines override `abort_set` and run with update
-reordering off, which applies a key's survivors in TID order; the serial
-one also replaces the simulation.
+writers of every key as it goes; reads stay the interpreter's exact tuples,
+and a result builds ReadRecords only on access. The commit step resolves
+read/write dependencies, aborts transactions caught in the dangerous
+read-dependency pattern, orders the surviving update commands per key by
+ascending min_out (ties by TID), coalesces them, and installs the block's
+writes. Which transactions abort is one method, `abort_set`. Every engine
+kind runs this commit step: the baselines override `abort_set` and run with
+update reordering off, which applies a key's survivors in TID order; the
+serial one also replaces the simulation.
 
 min_out(j) is the smallest TID of a transaction whose write T_j read the
 before-image of, when that TID is below j (else j + 1); max_in(j) is the
@@ -31,6 +31,7 @@ one.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -106,8 +107,8 @@ def resolve_rw_states(
 @dataclass
 class BlockExecution:
     block: Block
-    snapshot: BlockId
-    reads: dict[Tid, tuple[ReadRecord, ...]] = field(default_factory=dict)
+    # per transaction, execute_program's exact (key, observed, own) read tuples
+    reads: dict[Tid, tuple[tuple, ...]] = field(default_factory=dict)
     # per transaction, its pre-coalesced command per key, in first-update order
     commands: dict[Tid, dict[Key, Command]] = field(default_factory=dict)
     # per key, the TIDs that read it / wrote it, ascending and without repeats
@@ -117,8 +118,31 @@ class BlockExecution:
     handler_calls: int = 0
 
 
+@dataclass(slots=True, eq=False)  # eq is Mapping's, which compares records
+class BlockReads(Mapping):
+    """A block's reads per TID as ReadRecord tuples, read-only, built afresh
+    on each access from BlockExecution.reads; cached, they would be tracked."""
+
+    raw: dict[Tid, tuple[tuple, ...]]
+    snapshot: BlockId
+
+    def __getitem__(self, tid: Tid) -> tuple[ReadRecord, ...]:
+        return tuple(ReadRecord(k, self.snapshot, v, own) for k, v, own in self.raw[tid])
+
+    def __iter__(self):
+        return iter(self.raw)
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __repr__(self) -> str:
+        return f"BlockReads({dict(self)!r})"
+
+
 @dataclass
 class BlockResult:
+    """A processed block; reads, a BlockReads, builds records on each access."""
+
     block_id: BlockId
     snapshot: BlockId
     committed: frozenset[Tid]
@@ -126,7 +150,7 @@ class BlockResult:
     writes: dict[Key, int]
     applied_order: dict[Key, tuple[Tid, ...]]
     structure_hits: frozenset[Tid]
-    reads: dict[Tid, tuple[ReadRecord, ...]]
+    reads: Mapping[Tid, tuple[ReadRecord, ...]]
     commands: dict[Tid, dict[Key, Command]]
     handler_calls: int = 0
 
@@ -157,7 +181,7 @@ class HarmonyEngine:
         the readers and writers of the keys it touches, unless it is already
         the last entry, lists them ascending and without repeats.
         """
-        exec_ = BlockExecution(block=block, snapshot=snapshot)
+        exec_ = BlockExecution(block)
         store = self.store
         readers_of = exec_.readers_of
         writers_of = exec_.writers_of
@@ -168,13 +192,11 @@ class HarmonyEngine:
         for txn in block.txns:
             tid = txn.tid
             raw_reads, commands = execute_program(tid, txn.steps, read)
-            records = []
-            for key, observed, own in raw_reads:
-                records.append(ReadRecord(key, snapshot, observed, own))
+            for key, _, _ in raw_reads:
                 readers = readers_of.setdefault(key, [])
                 if not readers or readers[-1] != tid:
                     readers.append(tid)
-            exec_.reads[tid] = tuple(records)
+            exec_.reads[tid] = tuple(raw_reads)
             exec_.commands[tid] = commands
             for key in commands:
                 writers_of.setdefault(key, []).append(tid)
@@ -207,8 +229,8 @@ class HarmonyEngine:
             behind_committed_writer = False
             if prev is not None:
                 earliest_out = state.min_out
-                for record in exec_.reads[tid]:
-                    for w in prev.writers_of.get(record.key, ()):
+                for key, _, _ in exec_.reads[tid]:
+                    for w in prev.writers_of.get(key, ()):
                         if w < earliest_out:
                             earliest_out = w
                         if w in prev.reaches_smaller:
@@ -289,7 +311,7 @@ class HarmonyEngine:
             writes=writes,
             applied_order=applied_order,
             structure_hits=frozenset(hits),
-            reads=exec_.reads,
+            reads=BlockReads(exec_.reads, snapshot),
             commands=exec_.commands,
             handler_calls=exec_.handler_calls,
         )
@@ -306,7 +328,7 @@ class HarmonyEngine:
             if exec_.dep_states[tid].min_out < tid:
                 reaches.add(tid)
             elif prev is not None and any(
-                record.key in prev.writers_of for record in exec_.reads[tid]
+                key in prev.writers_of for key, _, _ in exec_.reads[tid]
             ):
                 reaches.add(tid)
         return _Carryover(

@@ -10,10 +10,10 @@ not fast.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import Block, Key, Tid, reads_input, run_serially
-from .engine import BlockResult
+from .engine import BlockReads, BlockResult
 from .storage import SnapshotStore
 
 RW = "rw"
@@ -42,11 +42,7 @@ def build_graph(result: BlockResult) -> DependencyGraph:
     edges: set[Edge] = set()
     writers: dict[Key, tuple[Tid, ...]] = result.applied_order
     for tid in committed:
-        seen: set[Key] = set()
         for record in result.reads.get(tid, ()):
-            if record.key in seen:
-                continue
-            seen.add(record.key)
             for w in writers.get(record.key, ()):
                 if w != tid:
                     edges.add((tid, w, RW))
@@ -101,32 +97,38 @@ def serial_equivalence(block: Block, result: BlockResult, store: SnapshotStore) 
     return overlay == result.writes
 
 
-def false_abort(result: BlockResult, tid: Tid) -> bool:
-    """True iff the abort was unnecessary: adding the transaction back to
-    the committed set, with its reads and some placement of its updates in
-    the per-key applied orders, still admits an acyclic dependency graph.
+def false_aborts(result: BlockResult) -> set[Tid]:
+    """The aborted transactions whose abort was unnecessary: adding one back
+    to the committed set, with its reads and some placement of its updates
+    in the per-key applied orders, still admits an acyclic dependency graph.
 
     Only the direction-forced edges matter. The aborted reader must precede
     every committed writer of a key it read, and every committed reader of a
     key it writes must precede it; write/write orientations are free, so a
     consistent placement exists exactly when the forced graph is acyclic.
     """
+    result = replace(result, reads=dict(result.reads))  # build records once
+    graph = build_graph(result)
+    unnecessary: set[Tid] = set()
+    for tid in result.aborted:
+        edges = set(graph.edges)
+        for record in result.reads.get(tid, ()):
+            for w in result.applied_order.get(record.key, ()):
+                edges.add((tid, w, RW))
+        write_keys = set(result.commands.get(tid, ()))
+        for other in result.committed:
+            if any(record.key in write_keys for record in result.reads.get(other, ())):
+                edges.add((other, tid, RW))
+        if is_acyclic(DependencyGraph(graph.nodes | {tid}, frozenset(edges))):
+            unnecessary.add(tid)
+    return unnecessary
+
+
+def false_abort(result: BlockResult, tid: Tid) -> bool:
+    """True iff aborting the transaction was unnecessary (see false_aborts)."""
     if tid in result.committed:
         raise ValueError(f"T{tid} committed; false-abort applies to aborted txns")
-    graph = build_graph(result)
-    edges = set(graph.edges)
-    for record in result.reads.get(tid, ()):
-        for w in result.applied_order.get(record.key, ()):
-            edges.add((tid, w, RW))
-    write_keys = set(result.commands.get(tid, ()))
-    for other in result.committed:
-        for record in result.reads.get(other, ()):
-            if record.key in write_keys:
-                edges.add((other, tid, RW))
-    candidate = DependencyGraph(
-        nodes=graph.nodes | {tid}, edges=frozenset(edges)
-    )
-    return is_acyclic(candidate)
+    return tid in false_aborts(result)
 
 
 def hit_rate(results) -> float:
@@ -143,10 +145,19 @@ def check_block(block: Block, result: BlockResult, store: SnapshotStore) -> list
     """Run the full oracle on one processed block; empty list when clean.
     The store must still hold the pre-block snapshot: it is at the block
     before, or at the block itself."""
-    problems: list[str] = []
-    graph = build_graph(result)
-    if not is_acyclic(graph):
-        problems.append(f"block {block.id}: committed dependency graph has a cycle")
-    elif not serial_equivalence(block, result, store):
-        problems.append(f"block {block.id}: installed state is not serially reachable")
-    return problems
+    if not is_acyclic(build_graph(result)):
+        return [f"block {block.id}: committed dependency graph has a cycle"]
+    if not serial_equivalence(block, result, store):
+        return [f"block {block.id}: installed state is not serially reachable"]
+    return []
+
+
+def check_serial_block(block: Block, result: BlockResult, store: SnapshotStore) -> list[str]:
+    """check_block for a serial engine, whose reads see lower TIDs' writes, not
+    a snapshot: a TID-order replay must give every recorded read and write."""
+    snapshot = block.id - 1
+    executed, overlay = run_serially(block.txns, lambda key: store.read(key, snapshot))
+    replayed = BlockReads({tid: tuple(reads) for tid, (reads, _) in executed.items()}, snapshot)
+    if replayed != result.reads or overlay != result.writes:
+        return [f"block {block.id}: a serial replay reads or writes other values"]
+    return []

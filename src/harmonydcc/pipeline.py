@@ -24,7 +24,6 @@ from .core import (
     ContractError,
     ReadStep,
     Transaction,
-    UpdateStep,
     seal_block,
 )
 from .engine import BlockResult, EngineOptions, HarmonyEngine
@@ -222,11 +221,9 @@ def tamper_block(block: Block) -> Block:
     transaction while keeping the recorded hashes."""
     first = block.txns[0]
     step = first.steps[0]
-    if isinstance(step, UpdateStep):
-        mutated = step._replace(operand=step.operand + 1)
-    elif isinstance(step, ReadStep):
+    if isinstance(step, ReadStep):
         mutated = ReadStep(step.key + "x")
-    else:
+    else:  # an update or a branch step
         mutated = step._replace(operand=step.operand + 1)
     txns = (
         Transaction(first.tid, first.block, (mutated,) + first.steps[1:]),

@@ -333,3 +333,84 @@ def test_out_path_in_missing_directory_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "missing" / "grid.csv"
     assert main(["run", "--txns", "10", "--keys", "50", "--out", str(out)]) == 2
     _assert_one_error_line(capsys)
+
+
+def test_cli_oracle_check_passes_on_the_serial_engine(capsys):
+    """A serial block reads the writes of lower TIDs, so it is checked by a
+    TID-order replay instead of the snapshot dependency graph."""
+    code = main(
+        ["run", "--engine", "serial", "--keys", "100", "--txns", "100",
+         "--block-size", "10", "--oracle-check"]
+    )
+    assert code == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["reads", "writes"])
+def test_serial_oracle_check_catches_an_altered_result(monkeypatch, field):
+    import dataclasses
+
+    from harmonydcc import bench
+
+    real = bench.run_replicas
+
+    def altered(blocks, config):
+        outcome = real(blocks, config)
+        results = outcome.results[0]
+        result = results[4]
+        if field == "reads":
+            tid = next(t for t in result.reads if result.reads[t])
+            first, *rest = result.reads[tid]
+            record = first._replace(observed=(first.observed or 0) + 1)
+            change = {"reads": {**result.reads, tid: (record, *rest)}}
+        else:
+            key = min(result.writes)
+            change = {"writes": {**result.writes, key: result.writes[key] + 1}}
+        results[4] = dataclasses.replace(result, **change)
+        return outcome
+
+    monkeypatch.setattr(bench, "run_replicas", altered)
+    with pytest.raises(OracleViolation, match="^block 4: a serial replay"):
+        run_experiment(_tiny(engine="serial", keys=100, txns=100, oracle_check=True))
+
+
+@pytest.mark.parametrize(
+    "engine, workload, rate",
+    # generated before false aborts were counted once per block
+    [("harmony", "ycsb", "0.462000"), ("fabric", "smallbank", "0.076000"),
+     ("aria", "ycsb", "0.244000")],
+)
+def test_false_abort_rate_is_pinned(engine, workload, rate):
+    _, row = run_experiment(
+        _tiny(engine=engine, workload=workload, theta=0.99, txns=500, block_size=25,
+              oracle_check=True)
+    )
+    assert row["false_abort_rate"] == rate
+
+
+def test_false_aborts_build_the_graph_and_read_records_once_per_block(monkeypatch):
+    from harmonydcc import oracle
+    from harmonydcc.engine import BlockReads, EngineOptions, HarmonyEngine
+    from harmonydcc.pipeline import make_blocks
+    from harmonydcc.storage import SnapshotStore
+    from harmonydcc.workloads import WorkloadSpec, generate
+
+    spec = WorkloadSpec(kind="ycsb", keys=50, theta=0.99, seed=5)
+    block = make_blocks(generate(spec, 25), 25)[0]
+    result = HarmonyEngine(SnapshotStore(), EngineOptions()).process_block(block)
+    assert len(result.aborted) > 3
+    expected = {t for t in result.aborted if oracle.false_abort(result, t)}
+    calls = {"graph": 0, "records": 0}
+    build_graph, getitem = oracle.build_graph, BlockReads.__getitem__
+
+    def counted_graph(r):
+        calls["graph"] += 1
+        return build_graph(r)
+
+    def counted_getitem(reads, tid):
+        calls["records"] += 1
+        return getitem(reads, tid)
+
+    monkeypatch.setattr(oracle, "build_graph", counted_graph)
+    monkeypatch.setattr(BlockReads, "__getitem__", counted_getitem)
+    assert oracle.false_aborts(result) == expected
+    assert calls == {"graph": 1, "records": len(block.txns)}

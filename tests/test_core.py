@@ -129,6 +129,48 @@ def test_kept_block_results_hold_no_commands_the_collector_tracks():
     assert not any(gc.is_tracked(cmd) for cmd in primitives)
 
 
+def _reachable_tuples(root):
+    """Every tuple, NamedTuples included, reachable from root's referents
+    without passing through a class."""
+    found, seen, stack = [], set(), list(gc.get_referents(root))
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, tuple):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize(
+    "engine, inter_block",
+    [("harmony", False), ("harmony", True), ("fabric", False), ("aria", False), ("serial", False)],
+)
+def test_kept_block_results_hold_no_reads_the_collector_tracks(engine, inter_block):
+    """A kept BlockResult holds its reads as the interpreter's exact
+    (key, observed, own) tuples, which the cyclic collector untracks, so
+    they add nothing to what every full collection walks; ReadRecords exist
+    only while someone reads them."""
+    from harmonydcc.pipeline import RunConfig, make_blocks, run_replicas
+    from harmonydcc.workloads import WorkloadSpec, generate
+
+    spec = WorkloadSpec(kind="smallbank", keys=40, theta=0.9, seed=3)
+    blocks = make_blocks(generate(spec, 120), 10)
+    config = RunConfig(replicas=1, engine=engine, inter_block=inter_block)
+    results = run_replicas(blocks, config).results[0]
+    # a collection untracks a tuple whose items it has already untracked, and
+    # its traversal may reach a per-TID tuple before that tuple's reads
+    gc.collect()
+    gc.collect()
+    held = [obj for result in results for obj in _reachable_tuples(result.reads)]
+    reads = sum(len(records) for result in results for records in result.reads.values())
+    assert reads > 150
+    assert len(held) > reads  # a tuple per read, and the per-TID tuples
+    assert [obj for obj in held if gc.is_tracked(obj)] == []
+
+
 # ---------------------------------------------------------------------------
 # Program interpreter
 

@@ -481,3 +481,48 @@ def test_own_read_matches_serial_replay_observation():
         for key in commands:
             overlay[key] = apply_command(commands[key], live(key))
     assert replay_reads["x"] == sim_read.observed
+
+
+def test_block_result_reads_answer_like_a_dict_of_read_records():
+    """BlockResult.reads answers every mapping question as the dict of
+    ReadRecord tuples it replaces did, building fresh records each time."""
+    import dataclasses
+
+    from harmonydcc.core import ReadRecord
+    from harmonydcc.oracle import build_graph
+
+    seed = (UpdateStep("x", "set", 5), UpdateStep("y", "set", 2))
+    reader = (ReadStep("x"), UpdateStep("x", "add", 1), ReadStep("x"))
+    writer = (UpdateStep("y", "add", 1),)
+    other = (ReadStep("y"), ReadStep("z"))
+    blocks = mk_blocks([[seed], [reader, writer, other]])
+    _, _, results = run_chain(blocks)
+    result = results[1]
+    reads = result.reads
+    expected = {
+        1: (ReadRecord("x", 0, 5, False), ReadRecord("x", 0, 6, True)),
+        2: (),
+        3: (ReadRecord("y", 0, 2, False), ReadRecord("z", 0, None, False)),
+    }
+    assert reads[1] == expected[1]
+    assert reads.get(2, ()) == () and reads.get(99, ()) == ()
+    assert list(reads.items()) == sorted(expected.items())
+    assert list(reads) == [1, 2, 3] and len(reads) == 3
+    assert 3 in reads and 99 not in reads
+    assert dict(reads) == {**reads} == expected
+    assert reads == expected and expected == reads
+    assert reads[1] is not reads[1]  # built on access, never cached
+    assert "ReadRecord(key='x', snapshot_block=0, observed=6, own_read=True)" in repr(reads)
+    with pytest.raises(KeyError):
+        reads[99]
+    for records in reads.values():
+        assert all(record.snapshot_block == result.snapshot for record in records)
+
+    first, second = reads[1]
+    altered = first._replace(observed=first.observed + 1)
+    assert altered == ReadRecord("x", 0, 6, False)
+    replaced = dataclasses.replace(result, reads={**reads, 1: (altered, second)})
+    assert type(replaced.reads) is dict
+    assert replaced.reads[1] == (altered, second) and replaced.reads[3] == expected[3]
+    assert result.reads[1] == expected[1]  # the original is unchanged
+    assert build_graph(replaced) == build_graph(result)
