@@ -5,9 +5,10 @@ steps, update steps) rather than host-language closures, so blocks can be
 serialized, hashed, logged, and replayed bit-exactly. Update steps emit
 read-modify-write commands (add / mul / set) instead of computed values;
 commands compose left-to-right and are evaluated once, at commit time.
-Commands and reads stay exact (kind, operand, issuer) and (key, observed,
-own) tuples, which the cyclic collector untracks, so it does not walk those
-a kept BlockResult holds; ReadRecords are built from reads on access.
+Commands, reads and command chains stay exact (kind, operand, issuer),
+(key, observed, own) and (parts,) tuples, which the cyclic collector
+untracks, so it does not walk those a kept BlockResult holds; ReadRecords
+are built from reads on access.
 
 All values are signed 64-bit integers. A key that was never written reads
 as absent (None); arithmetic commands treat absent as 0.
@@ -48,15 +49,9 @@ class ContractError(RuntimeError):
 
 
 UpdateCommand = tuple[str, int, Tid]  # (ADD | MUL | SET, operand, issuer)
-
-
-class CommandChain(NamedTuple):
-    """Left-to-right composition of primitive commands."""
-
-    parts: tuple[UpdateCommand, ...]
-
-
-Command = Union[UpdateCommand, CommandChain]
+# A left-to-right composition of primitive commands is the exact 1-tuple
+# (parts,), told from a primitive by its length.
+Command = Union[UpdateCommand, tuple[tuple[UpdateCommand, ...]]]
 
 
 def _check64(value: int) -> int:
@@ -68,9 +63,9 @@ def _check64(value: int) -> int:
 def apply_command(cmd: Command, value: Value) -> int:
     """Apply a command (or composed chain) to a value; absent reads as 0 for
     arithmetic, while set ignores its input entirely."""
-    if type(cmd) is CommandChain:
+    if len(cmd) == 1:
         out = value
-        for part in cmd.parts:
+        for part in cmd[0]:
             out = apply_command(part, out)
         return out  # chain is non-empty by construction
     kind, operand, _ = cmd
@@ -92,15 +87,15 @@ def compose(commands) -> Command:
     """
     parts: list[UpdateCommand] = []
     for cmd in commands:
-        if type(cmd) is CommandChain:
-            parts.extend(cmd.parts)
+        if len(cmd) == 1:
+            parts.extend(cmd[0])
         else:
             parts.append(cmd)
     if not parts:
         raise ContractError("compose() requires at least one command")
     if len(parts) == 1:
         return parts[0]
-    return CommandChain(tuple(parts))
+    return (tuple(parts),)
 
 
 def reads_input(cmd: Command) -> bool:
@@ -109,8 +104,8 @@ def reads_input(cmd: Command) -> bool:
     A set anywhere in a chain severs the dependence on the incoming value,
     so such chains behave as blind writes.
     """
-    if type(cmd) is CommandChain:
-        return all(p[0] != SET for p in cmd.parts)
+    if len(cmd) == 1:
+        return all(p[0] != SET for p in cmd[0])
     return cmd[0] != SET
 
 

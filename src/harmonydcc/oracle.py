@@ -82,21 +82,6 @@ def is_acyclic(graph: DependencyGraph) -> bool:
     return topo_order(graph) is not None
 
 
-def serial_equivalence(block: Block, result: BlockResult, store: SnapshotStore) -> bool:
-    """Replay exactly the committed transactions, serially, in topological
-    order, against the pre-block snapshot; true iff the replayed writes equal
-    the engine's installed writes for the block."""
-    order = topo_order(build_graph(result))
-    if order is None:
-        return False
-    snapshot = block.id - 1
-    txns = {t.tid: t for t in block.txns}
-    _, overlay = run_serially(
-        (txns[tid] for tid in order), lambda key: store.read(key, snapshot)
-    )
-    return overlay == result.writes
-
-
 def false_aborts(result: BlockResult) -> set[Tid]:
     """The aborted transactions whose abort was unnecessary: adding one back
     to the committed set, with its reads and some placement of its updates
@@ -124,13 +109,6 @@ def false_aborts(result: BlockResult) -> set[Tid]:
     return unnecessary
 
 
-def false_abort(result: BlockResult, tid: Tid) -> bool:
-    """True iff aborting the transaction was unnecessary (see false_aborts)."""
-    if tid in result.committed:
-        raise ValueError(f"T{tid} committed; false-abort applies to aborted txns")
-    return tid in false_aborts(result)
-
-
 def hit_rate(results) -> float:
     """Fraction of processed transactions matching the dangerous pattern."""
     hits = 0
@@ -144,12 +122,28 @@ def hit_rate(results) -> float:
 def check_block(block: Block, result: BlockResult, store: SnapshotStore) -> list[str]:
     """Run the full oracle on one processed block; empty list when clean.
     The store must still hold the pre-block snapshot: it is at the block
-    before, or at the block itself."""
-    if not is_acyclic(build_graph(result)):
+    before, or at the block itself.
+
+    The committed transactions are replayed, serially, in the topological
+    order of the block's dependency graph, built once, against the pre-block
+    snapshot; the replayed writes must equal the engine's installed writes."""
+    order = topo_order(build_graph(result))
+    if order is None:
         return [f"block {block.id}: committed dependency graph has a cycle"]
-    if not serial_equivalence(block, result, store):
+    snapshot = block.id - 1
+    txns = {t.tid: t for t in block.txns}
+    _, overlay = run_serially(
+        (txns[tid] for tid in order), lambda key: store.read(key, snapshot)
+    )
+    if overlay != result.writes:
         return [f"block {block.id}: installed state is not serially reachable"]
     return []
+
+
+def serial_equivalence(block: Block, result: BlockResult, store: SnapshotStore) -> bool:
+    """True iff the committed dependency graph is acyclic and the serial
+    replay check_block runs installs the engine's writes."""
+    return not check_block(block, result, store)
 
 
 def check_serial_block(block: Block, result: BlockResult, store: SnapshotStore) -> list[str]:

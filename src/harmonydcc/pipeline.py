@@ -4,9 +4,12 @@ replica state machines, and the multi-replica determinism harness.
 Consensus is replaced by a single deterministic sequencer; the network is a
 seeded discrete-event simulation rather than sockets, because reproducible
 asynchrony is the point. The event clock also models per-block execution
-occupancy (simulation and commit stages with a seeded straggler factor), so
-pipeline overlap shows up as a shorter simulated makespan while the results
-themselves stay a pure function of the ordered block stream.
+occupancy: a block's simulation stage costs SIM_STEP_COST per step of its
+longest program, and its commit stage COMMIT_BASE_COST plus
+COMMIT_WRITE_COST per written key. Pipeline overlap shows up as a shorter
+modelled makespan, while the results themselves stay a pure function of the
+ordered block stream. The makespan is a model, not a measurement: the seed
+moves only the delivery delays, and the stage costs are constants.
 """
 from __future__ import annotations
 
@@ -32,12 +35,10 @@ from .workloads import Program
 
 ENGINE_KINDS = ("harmony", "fabric", "aria", "serial")
 
-# Execution-occupancy model (event-clock seconds).
-SIM_STEP_COST = 2e-4
-COMMIT_BASE_COST = 5e-4
-COMMIT_WRITE_COST = 1e-4
-STRAGGLER_PROB = 0.08
-STRAGGLER_FACTOR = 8.0
+# Event-clock seconds, fitted to HarmonyEngine's plain-timer stage costs (CHANGES.md)
+SIM_STEP_COST = 1.8e-5
+COMMIT_BASE_COST = 1.3e-4
+COMMIT_WRITE_COST = 4.6e-6
 
 
 def make_blocks(programs: Sequence[Program], block_size: int) -> list[Block]:
@@ -202,20 +203,6 @@ class RunOutcome:
         return all(row == self.hash_matrix[0] for row in self.hash_matrix[1:])
 
 
-def _block_costs(blocks: Sequence[Block], seed: int) -> list[float]:
-    """Simulation duration per block; the straggler factor models the
-    occasional slow transaction that motivates pipelining."""
-    rng = random.Random(f"{seed}:costs")
-    costs = []
-    for block in blocks:
-        slowest = 0.0
-        for txn in block.txns:
-            factor = STRAGGLER_FACTOR if rng.random() < STRAGGLER_PROB else 1.0
-            slowest = max(slowest, len(txn.steps) * factor * SIM_STEP_COST)
-        costs.append(slowest)
-    return costs
-
-
 def tamper_block(block: Block) -> Block:
     """A byte-level corruption model: mutate one step of the first
     transaction while keeping the recorded hashes."""
@@ -240,7 +227,6 @@ def run_replicas(blocks: Sequence[Block], config: RunConfig) -> RunOutcome:
     one after another: the delays move only the event clock.
     """
     net = SimulatedNetwork(config.seed, config.delay_max)
-    costs = _block_costs(blocks, config.seed)
     replicas = []
     makespans = []
     for rid in range(config.replicas):
@@ -253,7 +239,8 @@ def run_replicas(blocks: Sequence[Block], config: RunConfig) -> RunOutcome:
                 continue
             # simulation waits for the commit of the block it reads; block i has id i
             start = max(at, commit_end.get(result.snapshot, 0.0))
-            commit_ready = max(start + costs[block.id], commit_end.get(block.id - 1, 0.0))
+            longest = max((len(txn.steps) for txn in block.txns), default=0)
+            commit_ready = max(start + SIM_STEP_COST * longest, commit_end.get(block.id - 1, 0.0))
             commit_cost = COMMIT_BASE_COST + COMMIT_WRITE_COST * len(result.writes)
             commit_end[block.id] = commit_ready + commit_cost
         makespans.append(max(commit_end.values(), default=0.0))

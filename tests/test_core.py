@@ -102,9 +102,10 @@ def test_reads_input():
 
 
 def test_kept_block_results_hold_no_commands_the_collector_tracks():
-    """A primitive command is an exact tuple of a str and two ints, which
-    the cyclic collector untracks, so the commands of the BlockResults a
-    replica keeps add nothing to what every full collection walks."""
+    """A primitive command is an exact tuple of a str and two ints, and a
+    chain the exact 1-tuple of its primitives; the cyclic collector untracks
+    both, so the commands of the BlockResults a replica keeps add nothing to
+    what every full collection walks."""
     from harmonydcc.engine import HarmonyEngine
     from harmonydcc.storage import SnapshotStore
 
@@ -117,16 +118,18 @@ def test_kept_block_results_hold_no_commands_the_collector_tracks():
     txns = [Transaction(tid, 0, steps) for tid, steps in enumerate(programs)]
     block = seal_block(0, txns, core.GENESIS_PREV_HASH)
     result = HarmonyEngine(SnapshotStore()).process_block(block)
-    gc.collect()
-    primitives = [
-        part
-        for commands in result.commands.values()
-        for cmd in commands.values()
-        for part in (cmd.parts if type(cmd) is core.CommandChain else (cmd,))
-    ]
-    assert len(primitives) == 6
-    assert all(type(cmd) is tuple for cmd in primitives)
-    assert not any(gc.is_tracked(cmd) for cmd in primitives)
+    # a collection untracks a tuple only once its items are untracked: the
+    # primitives go in the first, a chain's parts in the second, the chain
+    # in the third
+    for _ in range(3):
+        gc.collect()
+    commands = [cmd for by_key in result.commands.values() for cmd in by_key.values()]
+    chains = [cmd for cmd in commands if len(cmd) == 1]
+    primitives = [part for cmd in commands for part in (cmd[0] if len(cmd) == 1 else (cmd,))]
+    assert len(chains) == 1 and len(primitives) == 6
+    tuples = [chains[0], chains[0][0], *primitives]
+    assert all(type(t) is tuple for t in tuples)
+    assert not any(gc.is_tracked(t) for t in tuples)
 
 
 def _reachable_tuples(root):

@@ -108,6 +108,17 @@ def test_inter_block_overlap_shortens_makespan():
     assert on.makespans[0] < off.makespans[0]
 
 
+def test_makespans_without_delays_do_not_depend_on_the_seed():
+    """The seed moves only the delivery delays; the stage costs are a pure
+    function of the blocks and their results."""
+    blocks = make_blocks(_programs(500, theta=0.0, keys=500), 25)
+    spans = [
+        run_replicas(blocks, RunConfig(replicas=1, seed=seed, delay_max=0.0)).makespans
+        for seed in (1, 2)
+    ]
+    assert spans[0] == spans[1]
+
+
 def test_config_json_roundtrip(tmp_path):
     config = RunConfig(
         replicas=2,
