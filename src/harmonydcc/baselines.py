@@ -9,7 +9,9 @@ so an arithmetic update command counts as a read of the key it modifies (the
 fused read happens at the snapshot value). Without those implied reads the
 value-based protocols would silently commit lost updates. The serial
 baseline runs the block's transactions serially against live state and
-aborts nothing; the same commit step installs and reports its writes.
+aborts nothing; the same commit step installs and reports its writes. No
+baseline runs harmony's dependency analysis, so none reports structure hits
+or handler calls.
 """
 from __future__ import annotations
 
@@ -38,10 +40,8 @@ class _SnapshotBaseline(HarmonyEngine):
     def simulate(self, block: Block, snapshot: BlockId) -> BlockExecution:
         """The engine's simulation, then one implied read per
         input-consuming command on a key the program did not read, in
-        first-update order. The read index, and so dependency states,
-        structure hits and handler calls, stays that of the program reads,
-        so they remain a property of the workload rather than of the
-        validator."""
+        first-update order. The reader index, which Aria's incoming-read
+        test consults, stays that of the program reads."""
         exec_ = super().simulate(block, snapshot)
         store = self.store
         for tid, commands in exec_.commands.items():
@@ -64,7 +64,7 @@ class FabricEngine(_SnapshotBaseline):
     aborts iff a key it read was written by a lower-TID transaction already
     committed in the scan. Commits apply serially in TID order."""
 
-    def abort_set(self, exec_: BlockExecution, hits: set[Tid]) -> set[Tid]:
+    def abort_set(self, exec_: BlockExecution) -> set[Tid]:
         aborted: set[Tid] = set()
         committed_writes: set[Key] = set()
         for txn in exec_.block.txns:
@@ -77,11 +77,17 @@ class FabricEngine(_SnapshotBaseline):
 
 
 class AriaEngine(_SnapshotBaseline):
-    """Aborts the higher TID on any write/write overlap, plus transactions
-    whose stale read against a surviving lower-TID writer pairs with an
-    incoming read dependency. Survivors have disjoint write sets."""
+    """Aria's abort rule with deterministic reordering (Lu et al., VLDB
+    2020): aborts the higher TID on any write/write overlap (WAW), plus
+    transactions whose stale read against a surviving lower-TID writer
+    (RAW) pairs with an incoming read dependency (WAR). Survivors have
+    disjoint write sets.
 
-    def abort_set(self, exec_: BlockExecution, hits: set[Tid]) -> set[Tid]:
+    Aria counts WAR only against an earlier reader of a key T writes
+    (r < tid); this rule counts any other program reader (r != tid), so it
+    can abort a transaction that Aria commits."""
+
+    def abort_set(self, exec_: BlockExecution) -> set[Tid]:
         ww_losers = self._ww_losers(exec_)
         aborted = set(ww_losers)
         for txn in exec_.block.txns:
@@ -107,10 +113,9 @@ class AriaEngine(_SnapshotBaseline):
 
 class SerialEngine(_SnapshotBaseline):
     """Executes transactions one by one in TID order against the live state.
-    Never aborts; defines the reference final state for any block.
-
-    It indexes writers but no readers, so nothing is a structure hit, and
-    the commit step's TID-order composition per key gives the live value."""
+    Never aborts; defines the reference final state for any block. It
+    indexes only writers: the commit step's TID-order composition per key
+    gives the live value."""
 
     def simulate(self, block: Block, snapshot: BlockId) -> BlockExecution:
         exec_ = BlockExecution(block)
@@ -123,5 +128,5 @@ class SerialEngine(_SnapshotBaseline):
                 exec_.writers_of.setdefault(key, []).append(tid)
         return exec_
 
-    def abort_set(self, exec_: BlockExecution, hits: set[Tid]) -> set[Tid]:
+    def abort_set(self, exec_: BlockExecution) -> set[Tid]:
         return set()

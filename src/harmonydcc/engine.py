@@ -1,17 +1,17 @@
 """Abort-minimizing deterministic concurrency control engine.
 
-Each block is processed in two steps. The simulation step runs every
+Each block is processed in three steps. The simulation step runs every
 transaction against the same block snapshot, recording its reads and its
 pre-coalesced update command per key, and indexes the block's readers and
 writers of every key as it goes; reads stay the interpreter's exact tuples,
-and a result builds ReadRecords only on access. The commit step resolves
-read/write dependencies, aborts transactions caught in the dangerous
-read-dependency pattern, orders the surviving update commands per key by
-ascending min_out (ties by TID), coalesces them, and installs the block's
-writes. Which transactions abort is one method, `abort_set`. Every engine
-kind runs this commit step: the baselines override `abort_set` and run with
-update reordering off, which applies a key's survivors in TID order; the
-serial one also replaces the simulation.
+and a result builds ReadRecords only on access. The abort rule, `abort_set`,
+is the one step each engine kind defines for itself: harmony's resolves
+read/write dependencies and aborts transactions caught in the dangerous
+read-dependency pattern. The commit step, shared by every kind, orders the
+surviving update commands per key, by ascending min_out (ties by TID) with
+update reordering on and by TID with it off, coalesces them, and installs
+the block's writes. The baselines override only `abort_set` and run with
+update reordering off; the serial one also replaces the simulation.
 
 min_out(j) is the smallest TID of a transaction whose write T_j read the
 before-image of, when that TID is below j (else j + 1); max_in(j) is the
@@ -114,8 +114,10 @@ class BlockExecution:
     # per key, the TIDs that read it / wrote it, ascending and without repeats
     readers_of: dict[Key, list[Tid]] = field(default_factory=dict)
     writers_of: dict[Key, list[Tid]] = field(default_factory=dict)
+    # set by harmony's abort rule; the baselines leave them empty
     dep_states: dict[Tid, DependencyState] = field(default_factory=dict)
     handler_calls: int = 0
+    structure_hits: frozenset[Tid] = frozenset()
 
 
 @dataclass(slots=True, eq=False)  # eq is Mapping's, which compares records
@@ -202,7 +204,7 @@ class HarmonyEngine:
                 writers_of.setdefault(key, []).append(tid)
         return exec_
 
-    # -- dependency resolution ----------------------------------------------
+    # -- abort rule ---------------------------------------------------------
 
     def resolve_dependencies(self, exec_: BlockExecution) -> None:
         tids = [t.tid for t in exec_.block.txns]
@@ -210,22 +212,20 @@ class HarmonyEngine:
             tids, exec_.readers_of, exec_.writers_of
         )
 
-    # -- validation ---------------------------------------------------------
+    def abort_set(self, exec_: BlockExecution) -> set[Tid]:
+        """Resolve the block's dependencies, then abort the structure hits
+        of the generalized policy over intra-block rw edges plus dependencies
+        against the previous in-flight block, and with update reordering off
+        every write/write loser too.
 
-    def enhanced_validate(self, exec_: BlockExecution) -> set[Tid]:
-        """Generalized abort policy over intra-block rw edges plus
-        dependencies against the previous in-flight block.
-
-        Without a previous block, as always in intra-block mode, this is
-        exactly the plain validation rule. With one, the rule sees a copy of
-        each state, its min_out lowered by the previous block's writers of
-        the keys read; dep_states, which orders updates, stays as resolved.
-        """
+        Without a previous block, as always in intra-block mode, the policy
+        is exactly the plain validation rule. With one, the rule sees a copy
+        of each state, its min_out lowered by the previous block's writers of
+        the keys read; dep_states, which orders updates, stays as resolved."""
+        self.resolve_dependencies(exec_)
         prev = self._prev
-        aborts: set[Tid] = set()
-        for txn in exec_.block.txns:
-            tid = txn.tid
-            state = exec_.dep_states[tid]
+        hits: set[Tid] = set()
+        for tid, state in exec_.dep_states.items():
             behind_committed_writer = False
             if prev is not None:
                 earliest_out = state.min_out
@@ -238,13 +238,8 @@ class HarmonyEngine:
                 state = DependencyState(tid, earliest_out, state.max_in)
             # middle of an in-block pattern, or newest of one reaching back
             if validate(state) or behind_committed_writer:
-                aborts.add(tid)
-        return aborts
-
-    def abort_set(self, exec_: BlockExecution, hits: set[Tid]) -> set[Tid]:
-        """The transactions the commit step aborts, given the validation
-        hits: the hits themselves, plus every write/write loser when update
-        reordering is off."""
+                hits.add(tid)
+        exec_.structure_hits = frozenset(hits)
         if self.options.update_optim:
             return hits
         return hits | self._ww_losers(exec_)
@@ -295,9 +290,7 @@ class HarmonyEngine:
             )
         snapshot = block.id - (2 if self.options.inter_block else 1)
         exec_ = self.simulate(block, snapshot)
-        self.resolve_dependencies(exec_)
-        hits = self.enhanced_validate(exec_)
-        aborted = self.abort_set(exec_, hits)
+        aborted = self.abort_set(exec_)
         committed = frozenset(t.tid for t in block.txns) - aborted
         writes, applied_order = self.apply_write_sets(exec_, committed)
         self.store.install_block_writes(block.id, writes)
@@ -310,7 +303,7 @@ class HarmonyEngine:
             aborted=frozenset(aborted),
             writes=writes,
             applied_order=applied_order,
-            structure_hits=frozenset(hits),
+            structure_hits=exec_.structure_hits,
             reads=BlockReads(exec_.reads, snapshot),
             commands=exec_.commands,
             handler_calls=exec_.handler_calls,

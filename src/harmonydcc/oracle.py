@@ -110,7 +110,8 @@ def false_aborts(result: BlockResult) -> set[Tid]:
 
 
 def hit_rate(results) -> float:
-    """Fraction of processed transactions matching the dangerous pattern."""
+    """Fraction of processed transactions that harmony's abort rule flags as
+    the dangerous pattern; 0 for the baselines, which do not test for it."""
     hits = 0
     total = 0
     for result in results:

@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
+from harmonydcc import engine as engine_module
 from harmonydcc.baselines import AriaEngine, FabricEngine, SerialEngine
-from harmonydcc.core import BranchStep, ReadRecord, ReadStep, UpdateStep
+from harmonydcc.core import BranchStep, ContractError, ReadRecord, ReadStep, UpdateStep
 from harmonydcc.engine import EngineOptions, HarmonyEngine
 from harmonydcc.oracle import build_graph, is_acyclic
 from harmonydcc.storage import SnapshotStore
@@ -154,13 +157,43 @@ def test_baselines_simulate_through_the_engine_path():
         2: (ReadRecord("b", 0, 2, False), ReadRecord("e", 0, 5, False)),
         3: (),
     }
+    assert harmony.structure_hits == frozenset({2})
+    assert harmony.handler_calls == 2
     for engine_cls in (FabricEngine, AriaEngine):
         _, (_, result) = run_with(engine_cls, blocks)
         for tid, extra in implied.items():
             assert result.reads[tid] == harmony.reads[tid] + extra
         assert "c" not in {record.key for record in result.reads[2]}
-        assert result.structure_hits == harmony.structure_hits == frozenset({2})
-        assert result.handler_calls == harmony.handler_calls == 2
+        assert result.structure_hits == frozenset()
+        assert result.handler_calls == 0
+
+
+def test_only_harmony_resolves_dependencies(monkeypatch):
+    """The baselines run the shared simulation and commit step and their own
+    abort rule, never harmony's dependency analysis."""
+    calls = []
+    resolve = engine_module.resolve_rw_states
+
+    def counting(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(engine_module, "resolve_rw_states", counting)
+    blocks = _random_blocks(77, n_blocks=20)
+    for engine_cls in (FabricEngine, AriaEngine, SerialEngine):
+        run_with(engine_cls, blocks)
+        assert calls == [], engine_cls.__name__
+    for inter_block in (False, True):
+        run_with(lambda store: HarmonyEngine(store, EngineOptions(inter_block=inter_block)), blocks)
+        assert len(calls) == len(blocks)
+        calls.clear()
+
+
+def test_baselines_refuse_recovered_engine_state():
+    engine = FabricEngine(SnapshotStore())
+    engine.restore_state(None)
+    with pytest.raises(ContractError):
+        engine.restore_state({"writers_of": {}, "reaches_smaller": []})
 
 
 def test_harmony_commits_more_than_fabric_on_contended_workloads():

@@ -130,24 +130,24 @@ EXPECTED = {
     "harmony-inter-no-optim/hotspot/0": "29d733af6629d692",
     "harmony-inter-no-optim/hotspot/0.6": "087d592b41f41b1a",
     "harmony-inter-no-optim/hotspot/0.99": "730544564c9aef23",
-    "fabric/ycsb/0": "b602f822bceb838d",
-    "fabric/ycsb/0.6": "97cb7c6c774d886d",
-    "fabric/ycsb/0.99": "d09e4c23b05398ee",
-    "fabric/smallbank/0": "c93f78228170a891",
-    "fabric/smallbank/0.6": "6f6200d92c64429a",
-    "fabric/smallbank/0.99": "ef475e54e9beba4c",
-    "fabric/hotspot/0": "8096945471e4fe04",
-    "fabric/hotspot/0.6": "7543bbe5d13f64bd",
-    "fabric/hotspot/0.99": "cdd3250b3e46e0de",
-    "aria/ycsb/0": "456ef2e8d3a387cb",
-    "aria/ycsb/0.6": "e424176c4f664736",
-    "aria/ycsb/0.99": "182a10c5be8b6f98",
-    "aria/smallbank/0": "d7dcc4e2e46dc390",
-    "aria/smallbank/0.6": "b7c34293617eb411",
-    "aria/smallbank/0.99": "3d9ad718751a03c7",
-    "aria/hotspot/0": "788afd9a62025a38",
-    "aria/hotspot/0.6": "32ffaf9ed9b6f40b",
-    "aria/hotspot/0.99": "aaf862177e223bef",
+    "fabric/ycsb/0": "27350ec40eb1d4e1",
+    "fabric/ycsb/0.6": "bf07e61ac0a28e45",
+    "fabric/ycsb/0.99": "08634ce471f427be",
+    "fabric/smallbank/0": "7f10bd5bb94f3ae8",
+    "fabric/smallbank/0.6": "79a2556f5b0cbe9f",
+    "fabric/smallbank/0.99": "c2d8f3d69374f3c0",
+    "fabric/hotspot/0": "4b7d2a8101473a24",
+    "fabric/hotspot/0.6": "312cf1af2d29358a",
+    "fabric/hotspot/0.99": "62491412e3b9b262",
+    "aria/ycsb/0": "c2f4f75c1bba185f",
+    "aria/ycsb/0.6": "f151cc91a17a3396",
+    "aria/ycsb/0.99": "6ac7d599ea7d2d47",
+    "aria/smallbank/0": "160ff043fc0d10ca",
+    "aria/smallbank/0.6": "427a05c83a662f1e",
+    "aria/smallbank/0.99": "8abe7b73347e5318",
+    "aria/hotspot/0": "e960ad35ee79d475",
+    "aria/hotspot/0.6": "3e7fc6fd7987e27f",
+    "aria/hotspot/0.99": "b2ad06bfb0da7189",
     "serial/ycsb/0": "d9b21cc20f4b73be",
     "serial/ycsb/0.6": "d39980b432f96709",
     "serial/ycsb/0.99": "7e972f0e995b209c",
@@ -161,8 +161,8 @@ EXPECTED = {
     "harmony-intra-no-optim/blind-write": "4e1457204a08d68f",
     "harmony-inter/blind-write": "e32b57a30c1c079e",
     "harmony-inter-no-optim/blind-write": "bd04b1debcca3d23",
-    "fabric/blind-write": "3083a84098059c27",
-    "aria/blind-write": "083b206e511178ec",
+    "fabric/blind-write": "509aef195a0b2b43",
+    "aria/blind-write": "d6ad5326581aae8f",
     "serial/blind-write": "95d2031a4a272d42",
 }
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 from harmonydcc.core import ReadStep, UpdateStep
 from harmonydcc.engine import EngineOptions, HarmonyEngine
@@ -191,3 +192,18 @@ def test_check_block_clean_on_engine_output():
         # the store holds the block's pre-block snapshot only until the next one
         result = engine.process_block(block)
         assert check_block(block, result, store) == []
+
+
+def test_check_block_reports_an_applied_order_against_an_rw_edge():
+    # T1 read x before T2's write, so T1 precedes T2; applying T2's update of
+    # y before T1's puts T2 first as well
+    t1 = (ReadStep("x"), UpdateStep("y", "add", 1))
+    t2 = (UpdateStep("x", "add", 1), UpdateStep("y", "add", 1))
+    blocks = mk_blocks([[t1, t2]], first_tid=1)
+    store, _, (result,) = run_chain(blocks)
+    assert result.applied_order["y"] == (1, 2)
+    assert check_block(blocks[0], result, store) == []
+    swapped = replace(result, applied_order={**result.applied_order, "y": (2, 1)})
+    assert check_block(blocks[0], swapped, store) == [
+        "block 0: committed dependency graph has a cycle"
+    ]

@@ -1,6 +1,6 @@
 import pytest
 
-from harmonydcc.core import ContractError, ReadStep, UpdateStep
+from harmonydcc.core import ContractError, ReadStep, UpdateOverflowError, UpdateStep
 from harmonydcc.pipeline import (
     Replica,
     RunConfig,
@@ -90,6 +90,46 @@ def test_tampered_replica_halts_while_others_finish():
     assert replicas[1].state_hashes == replicas[0].state_hashes[:3]
     assert replicas[0].state_hashes == replicas[2].state_hashes
     assert len(replicas[0].state_hashes) == len(blocks)
+
+
+def test_replicas_skip_every_block_after_a_tampered_one():
+    blocks = make_blocks(_programs(30), 10)
+    blocks[1] = tamper_block(blocks[1])
+    outcome = run_replicas(blocks, RunConfig(replicas=2, delay_max=0.0, seed=1))
+    assert outcome.halted == [True, True]
+    assert [len(row) for row in outcome.hash_matrix] == [1, 1]
+    assert outcome.rows_identical()
+    assert outcome.makespans[0] == outcome.makespans[1]
+
+
+@pytest.mark.xfail(strict=True, reason="inter-block mode commits this non-serializable history")
+def test_inter_block_aborts_an_update_behind_a_write_it_did_not_read():
+    """T2 reads k at block 0's snapshot (None) and adds 5 on top of T1's
+    set, leaving k = 15: T2 both precedes and follows T1, so it must abort."""
+    programs = [
+        (UpdateStep("f", "add", 1),),
+        (UpdateStep("k", "set", 10),),
+        (ReadStep("k"), UpdateStep("k", "add", 5)),
+    ]
+    config = RunConfig(replicas=1, inter_block=True, block_size=1)
+    outcome = run_replicas(make_blocks(programs, 1), config)
+    assert outcome.results[0][2].aborted == frozenset({2})
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=UpdateOverflowError,
+    reason="an overflowing update halts every replica instead of aborting",
+)
+def test_overflowing_update_does_not_halt_the_replicas():
+    programs = [
+        (UpdateStep("k", "set", 2**62),),
+        (UpdateStep("k", "mul", 4),),
+        (UpdateStep("j", "add", 1),),
+    ]
+    outcome = run_replicas(make_blocks(programs, 1), RunConfig(replicas=2, block_size=1))
+    assert all(2 in results[2].committed for results in outcome.results)
+    assert outcome.rows_identical()
 
 
 def test_tamper_block_breaks_payload_hash():
