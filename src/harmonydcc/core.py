@@ -251,8 +251,14 @@ class Transaction:
 
     @staticmethod
     def from_obj(obj: dict) -> "Transaction":
+        """Decode to_obj's form. ProgramError if tid or block is not an int
+        or a step is malformed; KeyError or TypeError if obj is not of
+        that form at all."""
+        tid, block = obj["tid"], obj["block"]
+        if type(tid) is not int or type(block) is not int:
+            raise ProgramError(f"tid {tid!r} and block {block!r} must be ints")
         steps = tuple(_step_from_obj(s) for s in obj["steps"])
-        return Transaction(tid=obj["tid"], block=obj["block"], steps=steps)
+        return Transaction(tid=tid, block=block, steps=steps)
 
 
 def _step_to_obj(step: Step) -> list:
@@ -267,14 +273,23 @@ def _step_to_obj(step: Step) -> list:
 
 
 def _step_from_obj(obj: list) -> Step:
-    tag = obj[0]
-    if tag == "read":
-        return ReadStep(obj[1])
-    if tag == "update":
-        return UpdateStep(obj[1], obj[2], obj[3])
-    if tag == "branch":
-        return BranchStep(obj[1], obj[2], obj[3], obj[4])
-    raise ProgramError(f"unknown step tag {tag!r}")
+    """Decode _step_to_obj's form. ProgramError unless the step has its
+    tag's arity, a str key, a known kind or comparison, int operands that
+    are not bools and a non-negative int skip."""
+    if type(obj) is list and len(obj) >= 2 and type(obj[1]) is str:
+        tag, key, *rest = obj
+        if tag == "read" and not rest:
+            return ReadStep(key)
+        if tag == "update" and len(rest) == 2:
+            kind, operand = rest
+            if kind in (ADD, MUL, SET) and type(operand) is int:
+                return UpdateStep(key, kind, operand)
+        if tag == "branch" and len(rest) == 3:
+            cmp, operand, skip = rest
+            if (type(cmp) is str and cmp in _CMP and type(operand) is int
+                    and type(skip) is int and skip >= 0):
+                return BranchStep(key, cmp, operand, skip)
+    raise ProgramError(f"malformed step {obj!r}")
 
 
 def canonical_json(obj) -> str:

@@ -20,6 +20,7 @@ from .core import (
     BlockId,
     ContractError,
     Key,
+    ProgramError,
     Transaction,
     Value,
     block_payload,
@@ -242,11 +243,13 @@ class _LogLine:
             raise ChainError(f"corrupt log line {self.lineno}: {exc}") from exc
 
     def decode(self) -> Block:
+        """The line's block; ChainError if its transactions are malformed,
+        also when the line's hash matches its payload."""
         try:
             txns = tuple(Transaction.from_obj(t) for t in self.txns_obj())
-        except KeyError as exc:
+            return Block(id=self.id, txns=txns, prev_hash=self.prev_hash, hash=self.hash)
+        except (KeyError, TypeError, ProgramError, ContractError) as exc:
             raise ChainError(f"corrupt log line {self.lineno}: {exc}") from exc
-        return Block(id=self.id, txns=txns, prev_hash=self.prev_hash, hash=self.hash)
 
 
 def _read_log(path: str | Path) -> list[_LogLine]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 
 from .core import BranchStep, ContractError, ReadStep, Step, UpdateStep
 
@@ -60,6 +61,23 @@ def _key(rank: int) -> str:
     return f"k{rank:05d}"
 
 
+class _Shared:
+    """Key and step constructors for one generated stream, each returning
+    one object per distinct value. A skewed stream repeats most of its
+    steps, and steps are NamedTuples, which CPython's cyclic collector
+    never untracks, so a kept stream would otherwise hold one tracked
+    tuple per operation. Each constructor looks its arguments up and builds
+    only on a miss; the tables live as long as the generator call."""
+
+    def __init__(self) -> None:
+        self.key = cache(_key)
+        self.checking = cache(_checking)
+        self.savings = cache(_savings)
+        self.read = cache(ReadStep)
+        self.update = cache(UpdateStep)
+        self.branch = cache(BranchStep)
+
+
 def gen_ycsb(spec: WorkloadSpec, count: int) -> list[Program]:
     """Point reads and additive updates over a Zipf-skewed keyspace, with
     ops_per_txn operations per transaction.
@@ -75,19 +93,20 @@ def gen_ycsb(spec: WorkloadSpec, count: int) -> list[Program]:
     zipf = ZipfSampler(spec.keys, spec.theta, rng)
     hot_prob = spec.hotspot_prob if spec.kind == "hotspot" else 0.0
     hot_count = max(1, round(spec.keys * spec.hotspot_fraction))
+    s = _Shared()
     programs = []
     for _ in range(count):
         steps: list[Step] = []
         for _ in range(spec.ops_per_txn):
             if hot_prob > 0.0 and rng.random() < hot_prob:
                 hot = rng.randrange(hot_count)
-                steps.append(UpdateStep(_key(hot), "add", rng.randint(1, 10)))
+                steps.append(s.update(s.key(hot), "add", rng.randint(1, 10)))
                 continue
-            key = _key(zipf.sample())
+            key = s.key(zipf.sample())
             if rng.random() < READ_RATIO:
-                steps.append(ReadStep(key))
+                steps.append(s.read(key))
             else:
-                steps.append(UpdateStep(key, "add", rng.randint(1, 10)))
+                steps.append(s.update(key, "add", rng.randint(1, 10)))
         programs.append(tuple(steps))
     return programs
 
@@ -112,10 +131,11 @@ def gen_smallbank(spec: WorkloadSpec, count: int) -> list[Program]:
     """
     rng = random.Random(spec.seed)
     zipf = ZipfSampler(spec.keys, spec.theta, rng)
+    s = _Shared()
     programs = []
     for _ in range(count):
         (proc,) = rng.choices(SMALLBANK_PROCS)
-        programs.append(_SMALLBANK_BUILDERS[proc](rng, zipf, spec.keys))
+        programs.append(_SMALLBANK_BUILDERS[proc](rng, zipf, spec.keys, s))
     return programs
 
 
@@ -127,59 +147,59 @@ def _two_accounts(rng: random.Random, zipf: ZipfSampler, n: int) -> tuple[int, i
     return a, b
 
 
-def _amalgamate(rng: random.Random, zipf: ZipfSampler, n: int) -> Program:
+def _amalgamate(rng: random.Random, zipf: ZipfSampler, n: int, s: _Shared) -> Program:
     a, b = _two_accounts(rng, zipf, n)
     credit = rng.randint(1, 100)
     return (
-        ReadStep(_savings(a)),
-        ReadStep(_checking(a)),
-        UpdateStep(_savings(a), "set", 0),
-        UpdateStep(_checking(a), "set", 0),
-        UpdateStep(_checking(b), "add", credit),
+        s.read(s.savings(a)),
+        s.read(s.checking(a)),
+        s.update(s.savings(a), "set", 0),
+        s.update(s.checking(a), "set", 0),
+        s.update(s.checking(b), "add", credit),
     )
 
 
-def _balance(rng: random.Random, zipf: ZipfSampler, n: int) -> Program:
+def _balance(rng: random.Random, zipf: ZipfSampler, n: int, s: _Shared) -> Program:
     a = zipf.sample()
-    return (ReadStep(_checking(a)), ReadStep(_savings(a)))
+    return (s.read(s.checking(a)), s.read(s.savings(a)))
 
 
-def _deposit_checking(rng: random.Random, zipf: ZipfSampler, n: int) -> Program:
+def _deposit_checking(rng: random.Random, zipf: ZipfSampler, n: int, s: _Shared) -> Program:
     a = zipf.sample()
-    return (UpdateStep(_checking(a), "add", rng.randint(1, 100)),)
+    return (s.update(s.checking(a), "add", rng.randint(1, 100)),)
 
 
-def _send_payment(rng: random.Random, zipf: ZipfSampler, n: int) -> Program:
+def _send_payment(rng: random.Random, zipf: ZipfSampler, n: int, s: _Shared) -> Program:
     a, b = _two_accounts(rng, zipf, n)
     amount = rng.randint(1, 100)
     return (
-        ReadStep(_checking(a)),
-        BranchStep(_checking(a), "ge", amount, 2),  # insufficient funds: no-op
-        UpdateStep(_checking(a), "add", -amount),
-        UpdateStep(_checking(b), "add", amount),
+        s.read(s.checking(a)),
+        s.branch(s.checking(a), "ge", amount, 2),  # insufficient funds: no-op
+        s.update(s.checking(a), "add", -amount),
+        s.update(s.checking(b), "add", amount),
     )
 
 
-def _transact_savings(rng: random.Random, zipf: ZipfSampler, n: int) -> Program:
+def _transact_savings(rng: random.Random, zipf: ZipfSampler, n: int, s: _Shared) -> Program:
     a = zipf.sample()
     amount = rng.choice((-1, 1)) * rng.randint(1, 100)
     return (
-        ReadStep(_savings(a)),
-        BranchStep(_savings(a), "ge", -amount, 1),  # balance may not go negative
-        UpdateStep(_savings(a), "add", amount),
+        s.read(s.savings(a)),
+        s.branch(s.savings(a), "ge", -amount, 1),  # balance may not go negative
+        s.update(s.savings(a), "add", amount),
     )
 
 
-def _write_check(rng: random.Random, zipf: ZipfSampler, n: int) -> Program:
+def _write_check(rng: random.Random, zipf: ZipfSampler, n: int, s: _Shared) -> Program:
     a = zipf.sample()
     amount = rng.randint(1, 100)
     return (
-        ReadStep(_checking(a)),
-        ReadStep(_savings(a)),
-        BranchStep(_checking(a), "lt", amount, 1),
-        UpdateStep(_checking(a), "add", -(amount + 1)),  # overdraft penalty
-        BranchStep(_checking(a), "ge", amount, 1),
-        UpdateStep(_checking(a), "add", -amount),
+        s.read(s.checking(a)),
+        s.read(s.savings(a)),
+        s.branch(s.checking(a), "lt", amount, 1),
+        s.update(s.checking(a), "add", -(amount + 1)),  # overdraft penalty
+        s.branch(s.checking(a), "ge", amount, 1),
+        s.update(s.checking(a), "add", -amount),
     )
 
 

@@ -14,6 +14,7 @@ from harmonydcc.core import (
     UpdateStep,
     block_payload,
     canonical_json,
+    compute_block_hash,
     encode_txns,
     seal_block,
 )
@@ -539,6 +540,48 @@ def test_recover_rejects_line_torn_inside_txns_before_checkpoint(tmp_path, cut):
         assert lines[5].endswith("}")
     (tmp_path / "chain.log").write_text("\n".join(lines) + "\n")
     with pytest.raises(ChainError, match="line 5"):
+        recover(tmp_path, _harmony_builder)
+
+
+_GOOD_STEP = ["update", "k", "add", 1]
+
+
+def _txn(steps=(_GOOD_STEP,), tid=0, block=0) -> dict:
+    return {"tid": tid, "block": block, "steps": list(steps)}
+
+
+@pytest.mark.parametrize(
+    "txns",
+    [
+        [_txn([["read"]])],
+        [_txn([["read", 7]])],
+        [_txn([["update", "k", "add"]])],
+        [_txn([["update", "k", "add", "x"]])],
+        [_txn([["update", "k", "add", True]])],
+        [_txn([["update", "k", "div", 2]])],
+        [_txn([["branch", "k", "approx", 1, 0]])],
+        [_txn([["read", "k"], ["branch", "k", "ge", 1, -1]])],
+        [_txn([5])],
+        [_txn([["jump", "k"]])],
+        [_txn(tid="0")],
+        [_txn(block=0.5)],
+        [_txn(tid=0), _txn(tid=2)],
+    ],
+    ids=[
+        "read-no-key", "read-int-key", "update-no-operand", "update-str-operand",
+        "update-bool-operand", "update-unknown-kind", "branch-unknown-cmp",
+        "branch-negative-skip", "step-not-a-list", "unknown-tag", "str-tid",
+        "float-block", "tids-not-contiguous",
+    ],
+)
+def test_recover_rejects_malformed_transactions_under_a_matching_hash(tmp_path, txns):
+    txns_json = canonical_json(txns)
+    block_hash = compute_block_hash(GENESIS_PREV_HASH, block_payload(0, txns_json))
+    head = canonical_json({"id": 0, "prev_hash": GENESIS_PREV_HASH, "hash": block_hash})
+    (tmp_path / "chain.log").write_text(f'{head[:-1]},"txns":{txns_json}}}\n')
+    with pytest.raises(
+        ChainError, match=r"corrupt log line 0: (malformed step|tid |block 0 tids)"
+    ):
         recover(tmp_path, _harmony_builder)
 
 

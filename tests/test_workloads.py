@@ -102,6 +102,29 @@ def test_hotspot_prob_one_emits_only_fused_updates():
             assert step.key in hot_keys
 
 
+_SHARING_SPECS = [
+    WorkloadSpec(kind="ycsb", keys=200, theta=0.99, seed=3),
+    WorkloadSpec(kind="hotspot", keys=200, theta=0.6, seed=3, hotspot_prob=0.5),
+    WorkloadSpec(kind="smallbank", keys=200, theta=0.6, seed=3),
+]
+
+
+@pytest.mark.parametrize("spec", _SHARING_SPECS, ids=lambda spec: spec.kind)
+def test_a_stream_holds_one_object_per_distinct_step_and_key(spec):
+    steps = [step for program in generate(spec, 400) for step in program]
+    distinct = set(steps)
+    assert len(distinct) < len(steps)
+    assert len({id(step) for step in steps}) == len(distinct)
+    assert len({id(step.key) for step in steps}) == len({step.key for step in steps})
+
+
+@pytest.mark.parametrize("spec", _SHARING_SPECS, ids=lambda spec: spec.kind)
+def test_separate_streams_share_no_step_object(spec):
+    first, second = generate(spec, 200), generate(spec, 200)
+    assert first == second
+    assert not {id(s) for p in first for s in p} & {id(s) for p in second for s in p}
+
+
 def test_smallbank_uses_paired_account_keys():
     spec = WorkloadSpec(kind="smallbank", keys=50, theta=0.2, seed=21)
     programs = gen_smallbank(spec, 100)
@@ -123,7 +146,7 @@ def test_deposit_checking_adds_amount():
 
 def test_send_payment_guard_blocks_insufficient_funds():
     from harmonydcc.core import execute_program
-    from harmonydcc.workloads import _send_payment
+    from harmonydcc.workloads import _send_payment, _Shared
 
     rng = random.Random(0)
 
@@ -135,7 +158,7 @@ def test_send_payment_guard_blocks_insufficient_funds():
             self.calls += 1
             return 1 if self.calls % 2 else 2
 
-    program = _send_payment(rng, _FixedZipf(), 10)
+    program = _send_payment(rng, _FixedZipf(), 10, _Shared())
     amount = program[1].operand
     # balance below the amount: the guard skips both updates
     _, commands = execute_program(1, program, lambda k: amount - 2)
@@ -147,7 +170,7 @@ def test_send_payment_guard_blocks_insufficient_funds():
 
 def test_write_check_penalty_branches():
     from harmonydcc.core import execute_program
-    from harmonydcc.workloads import _write_check
+    from harmonydcc.workloads import _Shared, _write_check
 
     rng = random.Random(8)
 
@@ -155,7 +178,7 @@ def test_write_check_penalty_branches():
         def sample(self):
             return 0
 
-    program = _write_check(rng, _OneAccount(), 10)
+    program = _write_check(rng, _OneAccount(), 10, _Shared())
     amount = program[2].operand
     _, commands = execute_program(1, program, lambda k: amount + 50)
     applied = commands["c:00000"]
