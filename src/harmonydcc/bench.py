@@ -116,9 +116,15 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunMetrics, dict[str, str]
         # installs other values than it reports then fails the hash check
         problems: list[str] = []
         store = SnapshotStore()
-        check = oracle.check_serial_block if config.engine == "serial" else oracle.check_block
+        false_aborts = 0  # the serial engine never aborts
         for block, result, recorded in zip(blocks, results, outcome.hash_matrix[0]):
-            problems.extend(check(block, result, store))
+            if config.engine == "serial":
+                problems.extend(oracle.check_serial_block(block, result, store))
+            else:
+                graph = oracle.build_graph(result)
+                problems.extend(oracle.check_block(block, result, store, graph))
+                if not config.inter_block:  # a per-block count misses cross-block edges
+                    false_aborts += len(oracle.false_aborts(result, graph))
             store.install_block_writes(block.id, result.writes)
             if store.state_hash() != recorded:
                 problems.append(
@@ -127,8 +133,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunMetrics, dict[str, str]
                 )
         if problems:
             raise OracleViolation("; ".join(problems))
-        if not config.inter_block:  # a per-block count misses cross-block edges
-            false_aborts = sum(len(oracle.false_aborts(result)) for result in results)
+        if not config.inter_block:
             false_rate = false_aborts / total if total else 0.0
     metrics = RunMetrics(
         committed=committed,

@@ -200,6 +200,8 @@ def execute_program(
                 pc += step.skip
                 if pc > n:
                     raise ProgramError(f"T{tid} branch skips past program end")
+                if step.skip < 0:  # a backward jump may never end
+                    raise ProgramError(f"T{tid} branch skips backwards")
         else:
             raise ProgramError(f"unknown step {step!r}")
     return reads, commands

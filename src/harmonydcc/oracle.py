@@ -1,67 +1,46 @@
 """Brute-force correctness oracle.
 
-Deliberately quadratic and unoptimized: it rebuilds the full dependency
-graph of a processed block from first principles, checks it for cycles,
-and replays the committed transactions serially in topological order, with
-the executor the serial baseline runs (`core.run_serially`), to confirm the
-engine installed an equivalent state. It exists to be obviously correct,
-not fast.
+Deliberately quadratic and unoptimized: it builds the dependency graph of a
+processed block from first principles, once, as a successor map over the
+committed TIDs. check_block replays the committed transactions serially in
+the graph's topological order, with the executor the serial baseline runs
+(`core.run_serially`), to confirm the engine installed an equivalent state;
+false_aborts reads the same graph to count the aborts serializability did
+not need. It exists to be obviously correct, not fast.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
 
-from .core import Block, Key, Tid, reads_input, run_serially
+from .core import Block, Key, Tid, run_serially
 from .engine import BlockReads, BlockResult
 from .storage import SnapshotStore
 
-RW = "rw"
-WW = "ww"
-WR = "wr"
-
-Edge = tuple[Tid, Tid, str]  # (src, dst, kind): src precedes dst serially
+Graph = dict[Tid, set[Tid]]  # each committed TID -> the TIDs it precedes serially
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    nodes: frozenset[Tid]
-    edges: frozenset[Edge]
+def build_graph(result: BlockResult) -> Graph:
+    """Every ordering constraint among the committed transactions.
 
-
-def build_graph(result: BlockResult) -> DependencyGraph:
-    """Enumerate every dependency among the committed transactions.
-
-    A reader of a key precedes (rw) every other committed writer of that
-    key, because simulation reads the block snapshot, the before-image of
-    every write in the block. Write/write and write/read edges follow the
-    applied per-key update order; a command that consumes its input value
-    takes a wr edge from every earlier-ordered writer of the same key.
+    A reader of a key precedes every other committed writer of that key,
+    because simulation reads the block snapshot, the before-image of every
+    write in the block. The writers of a key follow its applied update order.
     """
-    committed = result.committed
-    edges: set[Edge] = set()
-    writers: dict[Key, tuple[Tid, ...]] = result.applied_order
-    for tid in committed:
+    graph: Graph = {tid: set() for tid in result.committed}
+    for tid in result.committed:
         for record in result.reads.get(tid, ()):
-            for w in writers.get(record.key, ()):
-                if w != tid:
-                    edges.add((tid, w, RW))
-    for key, order in writers.items():
+            graph[tid].update(w for w in result.applied_order.get(record.key, ()) if w != tid)
+    for order in result.applied_order.values():
         for i, earlier in enumerate(order):
-            for later in order[i + 1 :]:
-                edges.add((earlier, later, WW))
-                if reads_input(result.commands[later][key]):
-                    edges.add((earlier, later, WR))
-    return DependencyGraph(nodes=frozenset(committed), edges=frozenset(edges))
+            graph[earlier].update(order[i + 1 :])
+    return graph
 
 
-def topo_order(graph: DependencyGraph) -> list[Tid] | None:
+def topo_order(graph: Graph) -> list[Tid] | None:
     """Kahn's algorithm with ties broken by ascending TID; None on a cycle."""
-    indegree = {node: 0 for node in graph.nodes}
-    successors: dict[Tid, set[Tid]] = {node: set() for node in graph.nodes}
-    for src, dst, _ in graph.edges:
-        if dst not in successors[src]:
-            successors[src].add(dst)
+    indegree = dict.fromkeys(graph, 0)
+    for successors in graph.values():
+        for dst in successors:
             indegree[dst] += 1
     ready = [node for node, deg in indegree.items() if deg == 0]
     heapq.heapify(ready)
@@ -69,42 +48,40 @@ def topo_order(graph: DependencyGraph) -> list[Tid] | None:
     while ready:
         node = heapq.heappop(ready)
         order.append(node)
-        for nxt in successors[node]:
+        for nxt in graph[node]:
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 heapq.heappush(ready, nxt)
-    if len(order) != len(graph.nodes):
-        return None
-    return order
+    return order if len(order) == len(graph) else None
 
 
-def is_acyclic(graph: DependencyGraph) -> bool:
-    return topo_order(graph) is not None
-
-
-def false_aborts(result: BlockResult) -> set[Tid]:
+def false_aborts(result: BlockResult, graph: Graph) -> set[Tid]:
     """The aborted transactions whose abort was unnecessary: adding one back
     to the committed set, with its reads and some placement of its updates
     in the per-key applied orders, still admits an acyclic dependency graph.
 
-    Only the direction-forced edges matter. The aborted reader must precede
-    every committed writer of a key it read, and every committed reader of a
-    key it writes must precede it; write/write orientations are free, so a
-    consistent placement exists exactly when the forced graph is acyclic.
+    Only the direction-forced edges matter. The aborted transaction must
+    precede every committed writer of a key it read, and follow every
+    committed reader of a key it writes; write/write orientations are free.
+    graph is build_graph's for this result, acyclic as check_block requires,
+    so adding the transaction closes a cycle exactly when one of the writers
+    it must precede reaches, in graph, one of the readers it must follow.
+    This searches forward from those writers; it never copies the graph.
     """
-    result = replace(result, reads=dict(result.reads))  # build records once
-    graph = build_graph(result)
+    readers: dict[Key, set[Tid]] = {}
+    for tid in result.committed:
+        for record in result.reads.get(tid, ()):
+            readers.setdefault(record.key, set()).add(tid)
     unnecessary: set[Tid] = set()
     for tid in result.aborted:
-        edges = set(graph.edges)
-        for record in result.reads.get(tid, ()):
-            for w in result.applied_order.get(record.key, ()):
-                edges.add((tid, w, RW))
-        write_keys = set(result.commands.get(tid, ()))
-        for other in result.committed:
-            if any(record.key in write_keys for record in result.reads.get(other, ())):
-                edges.add((other, tid, RW))
-        if is_acyclic(DependencyGraph(graph.nodes | {tid}, frozenset(edges))):
+        follows = {r for key in result.commands.get(tid, ()) for r in readers.get(key, ())}
+        seen = {w for r in result.reads.get(tid, ()) for w in result.applied_order.get(r.key, ())}
+        stack = list(seen)
+        while stack:
+            for nxt in graph[stack.pop()] - seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        if follows.isdisjoint(seen):
             unnecessary.add(tid)
     return unnecessary
 
@@ -120,15 +97,17 @@ def hit_rate(results) -> float:
     return hits / total if total else 0.0
 
 
-def check_block(block: Block, result: BlockResult, store: SnapshotStore) -> list[str]:
+def check_block(
+    block: Block, result: BlockResult, store: SnapshotStore, graph: Graph
+) -> list[str]:
     """Run the full oracle on one processed block; empty list when clean.
-    The store must still hold the pre-block snapshot: it is at the block
-    before, or at the block itself.
+    graph is build_graph(result). The store must still hold the pre-block
+    snapshot: it is at the block before, or at the block itself.
 
-    The committed transactions are replayed, serially, in the topological
-    order of the block's dependency graph, built once, against the pre-block
-    snapshot; the replayed writes must equal the engine's installed writes."""
-    order = topo_order(build_graph(result))
+    The graph must be acyclic, and the committed transactions, replayed
+    serially in its topological order against the pre-block snapshot, must
+    install the engine's writes."""
+    order = topo_order(graph)
     if order is None:
         return [f"block {block.id}: committed dependency graph has a cycle"]
     snapshot = block.id - 1
@@ -139,12 +118,6 @@ def check_block(block: Block, result: BlockResult, store: SnapshotStore) -> list
     if overlay != result.writes:
         return [f"block {block.id}: installed state is not serially reachable"]
     return []
-
-
-def serial_equivalence(block: Block, result: BlockResult, store: SnapshotStore) -> bool:
-    """True iff the committed dependency graph is acyclic and the serial
-    replay check_block runs installs the engine's writes."""
-    return not check_block(block, result, store)
 
 
 def check_serial_block(block: Block, result: BlockResult, store: SnapshotStore) -> list[str]:

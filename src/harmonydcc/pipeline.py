@@ -122,9 +122,6 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
 
 def build_engine(kind: str, store: SnapshotStore, config: RunConfig):
     if kind == "harmony":
@@ -151,7 +148,8 @@ def build_engine(kind: str, store: SnapshotStore, config: RunConfig):
 
 class Replica:
     """Processes received blocks strictly in id order, logging each block
-    before executing it; halts on a hash-chain violation."""
+    before executing it; halts on a hash-chain violation. It starts from
+    block 0, so it refuses a data directory whose chain log holds blocks."""
 
     def __init__(
         self,
@@ -162,6 +160,8 @@ class Replica:
         self.id = replica_id
         self.store = SnapshotStore()
         chain_path = data_dir / CHAIN_FILE if data_dir else None
+        if chain_path and chain_path.exists() and chain_path.stat().st_size:
+            raise ContractError(f"{chain_path} already holds blocks; storage.recover reads them")
         self.chain = ChainLog(chain_path)
         self.checkpoints = (
             CheckpointManager(data_dir, config.checkpoint_p) if data_dir else None

@@ -6,7 +6,7 @@ from harmonydcc import engine as engine_module
 from harmonydcc.baselines import AriaEngine, FabricEngine, SerialEngine
 from harmonydcc.core import BranchStep, ContractError, ReadRecord, ReadStep, UpdateStep
 from harmonydcc.engine import EngineOptions, HarmonyEngine
-from harmonydcc.oracle import build_graph, is_acyclic
+from harmonydcc.oracle import build_graph, topo_order
 from harmonydcc.storage import SnapshotStore
 
 from test_engine import mk_blocks
@@ -125,7 +125,7 @@ def test_baseline_survivors_pass_acyclicity():
         blocks = _random_blocks(23)
         _, results = run_with(engine_cls, blocks)
         for result in results:
-            assert is_acyclic(build_graph(result))
+            assert topo_order(build_graph(result)) is not None
 
 
 def test_baselines_are_deterministic():

@@ -226,6 +226,25 @@ def test_branch_skip_past_end_is_error():
         execute_program(1, steps, lambda k: 10)
 
 
+def test_branch_skipping_backwards_is_error():
+    # a backward jump re-runs the branch on the same read, forever; the alarm
+    # turns a hang into a failure
+    import signal
+
+    def hang(signum, frame):
+        raise TimeoutError("execute_program did not return")
+
+    steps = (ReadStep("k"), BranchStep("k", "ge", 1, -1))
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ProgramError, match="backwards"):
+            execute_program(0, steps, lambda k: None)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_program_emits_identically_for_identical_reads():
     steps = (
         ReadStep("a"),

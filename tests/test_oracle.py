@@ -1,18 +1,11 @@
 import random
 from dataclasses import replace
 
+import pytest
+
 from harmonydcc.core import ReadStep, UpdateStep
 from harmonydcc.engine import EngineOptions, HarmonyEngine
-from harmonydcc.oracle import (
-    DependencyGraph,
-    build_graph,
-    check_block,
-    false_aborts,
-    hit_rate,
-    is_acyclic,
-    serial_equivalence,
-    topo_order,
-)
+from harmonydcc.oracle import build_graph, check_block, false_aborts, hit_rate, topo_order
 from harmonydcc.storage import SnapshotStore
 from harmonydcc.workloads import WorkloadSpec, generate
 from harmonydcc.pipeline import make_blocks
@@ -23,25 +16,21 @@ from test_engine import mk_blocks, run_chain
 def test_single_committed_txn_has_empty_edge_set():
     blocks = mk_blocks([[(UpdateStep("x", "add", 1),)]], first_tid=1)
     _, _, (result,) = run_chain(blocks)
-    graph = build_graph(result)
-    assert graph.nodes == frozenset({1})
-    assert graph.edges == frozenset()
+    assert build_graph(result) == {1: set()}
 
 
 def test_parallel_edges_from_reorder_stay_acyclic():
     # both txns update x; the rw edge forces T2's command first, so the
-    # induced ww and wr edges all point the same way
+    # applied order of x points the same way
     seed = (UpdateStep("x", "set", 10),)
     t1 = (UpdateStep("y", "add", 1), UpdateStep("x", "add", 10))
     t2 = (ReadStep("y"), UpdateStep("x", "mul", 3))
     blocks = mk_blocks([[seed], [t1, t2]])
     _, _, results = run_chain(blocks)
     graph = build_graph(results[1])
-    assert (2, 1, "rw") in graph.edges
-    assert (2, 1, "ww") in graph.edges
-    assert (2, 1, "wr") in graph.edges
-    assert all(edge[:2] == (2, 1) for edge in graph.edges)
-    assert is_acyclic(graph)
+    assert results[1].applied_order["x"] == (2, 1)
+    assert graph == {1: set(), 2: {1}}
+    assert topo_order(graph) == [2, 1]
 
 
 def test_graph_matches_independent_rederivation():
@@ -63,40 +52,29 @@ def test_graph_matches_independent_rederivation():
         _, _, (result,) = run_chain(blocks)
         graph = build_graph(result)
         # quadratic re-derivation straight from programs and applied orders
-        expected = set()
+        expected = {t: set() for t in result.committed}
         read_keys = {
             t: {s.key for s in blocks[0].txns[t - 1].steps if isinstance(s, ReadStep)}
             for t in result.committed
         }
-        from harmonydcc.core import reads_input
-
         for key, order in result.applied_order.items():
             for reader, keys in read_keys.items():
                 if key in keys:
                     for w in order:
                         if w != reader:
-                            expected.add((reader, w, "rw"))
+                            expected[reader].add(w)
             for i, a in enumerate(order):
                 for b in order[i + 1 :]:
-                    expected.add((a, b, "ww"))
-                    if reads_input(result.commands[b][key]):
-                        expected.add((a, b, "wr"))
-        assert graph.edges == frozenset(expected)
+                    expected[a].add(b)
+        assert graph == expected
 
 
 def test_two_node_cycle_detected():
-    graph = DependencyGraph(
-        nodes=frozenset({1, 2}),
-        edges=frozenset({(1, 2, "rw"), (2, 1, "rw")}),
-    )
-    assert not is_acyclic(graph)
-    assert topo_order(graph) is None
+    assert topo_order({1: {2}, 2: {1}}) is None
 
 
 def test_empty_graph_is_acyclic():
-    graph = DependencyGraph(nodes=frozenset(), edges=frozenset())
-    assert is_acyclic(graph)
-    assert topo_order(graph) == []
+    assert topo_order({}) == []
 
 
 def test_reorder_figure_topological_order():
@@ -113,7 +91,7 @@ def test_serial_equivalence_on_disjoint_block():
     programs = [(UpdateStep(f"w{i}", "add", 1),) for i in range(8)]
     blocks = mk_blocks([programs])
     store, _, (result,) = run_chain(blocks)
-    assert serial_equivalence(blocks[0], result, store)
+    assert check_block(blocks[0], result, store, build_graph(result)) == []
 
 
 def test_serial_equivalence_on_coalesced_hotspot():
@@ -122,7 +100,7 @@ def test_serial_equivalence_on_coalesced_hotspot():
     blocks = mk_blocks(programs)
     store, _, results = run_chain(blocks)
     assert store.read("hot", 1) == 105
-    assert serial_equivalence(blocks[1], results[1], store)
+    assert check_block(blocks[1], results[1], store, build_graph(results[1])) == []
 
 
 def test_serial_equivalence_detects_mutated_output():
@@ -130,7 +108,9 @@ def test_serial_equivalence_detects_mutated_output():
     blocks = mk_blocks([programs])
     store, _, (result,) = run_chain(blocks)
     result.writes["a"] = 999
-    assert not serial_equivalence(blocks[0], result, store)
+    assert check_block(blocks[0], result, store, build_graph(result)) == [
+        "block 0: installed state is not serially reachable"
+    ]
 
 
 def test_false_abort_on_necessary_two_txn_cycle():
@@ -139,7 +119,7 @@ def test_false_abort_on_necessary_two_txn_cycle():
     blocks = mk_blocks([[t1, t2]], first_tid=1)
     _, _, (result,) = run_chain(blocks)
     assert result.aborted == frozenset({2})
-    assert 2 not in false_aborts(result)  # the abort was required
+    assert 2 not in false_aborts(result, build_graph(result))  # the abort was required
 
 
 def test_false_abort_on_open_three_txn_pattern():
@@ -152,7 +132,7 @@ def test_false_abort_on_open_three_txn_pattern():
     blocks = mk_blocks([[t1, t2, t3, t4]], first_tid=1)
     _, _, (result,) = run_chain(blocks)
     assert result.aborted == frozenset({3})
-    assert 3 in false_aborts(result)
+    assert 3 in false_aborts(result, build_graph(result))
 
 
 def test_false_abort_on_aria_blind_second_writer():
@@ -164,7 +144,7 @@ def test_false_abort_on_aria_blind_second_writer():
     store = SnapshotStore()
     result = AriaEngine(store).process_block(blocks[0])
     assert result.aborted == frozenset({2})
-    assert 2 in false_aborts(result)
+    assert 2 in false_aborts(result, build_graph(result))
 
 
 def test_hit_rate_zero_on_conflict_free_stream():
@@ -191,7 +171,7 @@ def test_check_block_clean_on_engine_output():
     for block in blocks:
         # the store holds the block's pre-block snapshot only until the next one
         result = engine.process_block(block)
-        assert check_block(block, result, store) == []
+        assert check_block(block, result, store, build_graph(result)) == []
 
 
 def test_check_block_reports_an_applied_order_against_an_rw_edge():
@@ -202,8 +182,64 @@ def test_check_block_reports_an_applied_order_against_an_rw_edge():
     blocks = mk_blocks([[t1, t2]], first_tid=1)
     store, _, (result,) = run_chain(blocks)
     assert result.applied_order["y"] == (1, 2)
-    assert check_block(blocks[0], result, store) == []
+    assert check_block(blocks[0], result, store, build_graph(result)) == []
     swapped = replace(result, applied_order={**result.applied_order, "y": (2, 1)})
-    assert check_block(blocks[0], swapped, store) == [
+    assert check_block(blocks[0], swapped, store, build_graph(swapped)) == [
         "block 0: committed dependency graph has a cycle"
     ]
+
+
+def _reference_false_aborts(result):
+    """false_aborts as first defined: per aborted transaction, copy the
+    graph, add the transaction's forced edges and test the copy for a cycle
+    with Kahn's algorithm."""
+    graph = build_graph(result)
+    unnecessary = set()
+    for tid in result.aborted:
+        forced = {node: set(successors) for node, successors in graph.items()}
+        forced[tid] = set()
+        for record in result.reads.get(tid, ()):
+            forced[tid].update(result.applied_order.get(record.key, ()))
+        write_keys = set(result.commands.get(tid, ()))
+        for other in result.committed:
+            if any(record.key in write_keys for record in result.reads.get(other, ())):
+                forced[other].add(tid)
+        if topo_order(forced) is not None:
+            unnecessary.add(tid)
+    return unnecessary
+
+
+@pytest.mark.parametrize(
+    "engine", ["harmony", "harmony-no-update-optim", "fabric", "aria"]
+)
+def test_false_aborts_match_the_copy_and_sort_definition(engine):
+    from harmonydcc.baselines import AriaEngine, FabricEngine
+
+    rng = random.Random(f"false-aborts:{engine}")
+    keys = [f"k{i}" for i in range(6)]
+
+    def step():
+        key = rng.choice(keys)
+        if rng.random() < 0.5:
+            return ReadStep(key)
+        return UpdateStep(key, rng.choice(("add", "set", "mul")), rng.randint(0, 4))
+
+    per_block = [
+        [tuple(step() for _ in range(rng.randint(1, 5))) for _ in range(rng.randint(2, 14))]
+        for _ in range(150)
+    ]
+    store = SnapshotStore()
+    processor = {
+        "harmony": lambda: HarmonyEngine(store, EngineOptions()),
+        "harmony-no-update-optim": lambda: HarmonyEngine(store, EngineOptions(update_optim=False)),
+        "fabric": lambda: FabricEngine(store),
+        "aria": lambda: AriaEngine(store),
+    }[engine]()
+    necessary = unnecessary = 0
+    for block in mk_blocks(per_block):
+        result = processor.process_block(block)
+        found = false_aborts(result, build_graph(result))
+        assert found == _reference_false_aborts(result), f"block {block.id}"
+        unnecessary += len(found)
+        necessary += len(result.aborted) - len(found)
+    assert necessary > 20 and unnecessary > 20

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import pytest
 
 from harmonydcc.core import ContractError, ReadStep, UpdateOverflowError, UpdateStep
@@ -169,7 +172,7 @@ def test_config_json_roundtrip(tmp_path):
         checkpoint_p=5,
     )
     path = tmp_path / "config.json"
-    path.write_text(config.to_json())
+    path.write_text(json.dumps(dataclasses.asdict(config)))
     assert RunConfig.from_file(path) == config
     for text in (
         '{"bogus": 1}',

@@ -382,6 +382,24 @@ def test_recover_replays_from_latest_checkpoint(tmp_path):
     assert recovered.store.state_hash() == pre_crash[-1]
 
 
+def test_replica_refuses_a_data_directory_whose_chain_log_holds_blocks(tmp_path):
+    """A Replica starts at block 0. On the directory of one that ran blocks
+    0-9 it would halt on block 10 or append a second block 0 that recover
+    rejects, so it refuses the directory and leaves the log as it was."""
+    _, replica = _run_replica(tmp_path, 10)
+    log = tmp_path / "chain.log"
+    before = log.read_bytes()
+    with pytest.raises(ContractError, match="already holds blocks"):
+        Replica(0, RunConfig(replicas=1), data_dir=tmp_path)
+    assert log.read_bytes() == before
+    assert recover(tmp_path, _harmony_builder).store.state_hash() == replica.state_hashes[-1]
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "chain.log").touch()  # an empty log holds no blocks
+    Replica(0, RunConfig(replicas=1), data_dir=empty).close()
+
+
 def test_recover_falls_back_when_checkpoint_interrupted(tmp_path):
     _, replica = _run_replica(tmp_path, 25, p=10)
     pre_crash = list(replica.state_hashes)
