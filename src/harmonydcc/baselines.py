@@ -43,11 +43,11 @@ class _SnapshotBaseline(HarmonyEngine):
         first-update order. The reader index, which Aria's incoming-read
         test consults, stays that of the program reads."""
         exec_ = super().simulate(block, snapshot)
-        store = self.store
+        read = self.store.reader(snapshot)
         for tid, commands in exec_.commands.items():
             read_keys = {key for key, _, _ in exec_.reads[tid]}
             implied = tuple(
-                (key, store.read(key, snapshot), False)
+                (key, read(key), False)
                 for key, command in commands.items()
                 if reads_input(command) and key not in read_keys
             )
@@ -119,8 +119,7 @@ class SerialEngine(_SnapshotBaseline):
 
     def simulate(self, block: Block, snapshot: BlockId) -> BlockExecution:
         exec_ = BlockExecution(block)
-        read = self.store.read
-        executed, _ = run_serially(block.txns, lambda key: read(key, snapshot))
+        executed, _ = run_serially(block.txns, self.store.reader(snapshot))
         for tid, (reads, commands) in executed.items():
             exec_.reads[tid] = tuple(reads)
             exec_.commands[tid] = commands

@@ -19,6 +19,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from operator import length_hint
 from typing import Callable, NamedTuple, Optional, Union
 
 Tid = int
@@ -170,38 +172,37 @@ def execute_program(
     reads: list[tuple[Key, Value, bool]] = []
     commands: dict[Key, Command] = {}
     last_read: dict[Key, Value] = {}
-    pc = 0
-    n = len(steps)
-    while pc < n:
-        step = steps[pc]
-        pc += 1
+    remaining = iter(steps)
+    for step in remaining:
         kind = type(step)
         if kind is ReadStep:
-            base = read_value(step.key)
-            own = step.key in commands
-            value = apply_command(commands[step.key], base) if own else base
-            reads.append((step.key, value, own))
-            last_read[step.key] = value
+            (key,) = step
+            value = read_value(key)
+            prev = commands.get(key)
+            own = prev is not None
+            if own:
+                value = apply_command(prev, value)
+            reads.append((key, value, own))
+            last_read[key] = value
         elif kind is UpdateStep:
-            cmd = (step.kind, step.operand, tid)
-            prev = commands.get(step.key)
-            if prev is None:
-                commands[step.key] = cmd
-            else:
-                commands[step.key] = compose((prev, cmd))
+            key, command_kind, operand = step
+            cmd = (command_kind, operand, tid)
+            prev = commands.get(key)
+            commands[key] = cmd if prev is None else compose((prev, cmd))
         elif kind is BranchStep:
-            if step.key not in last_read:
-                raise ProgramError(f"T{tid} branches on unread key {step.key!r}")
-            op = _CMP.get(step.cmp)
+            key, cmp, operand, skip = step
+            if key not in last_read:
+                raise ProgramError(f"T{tid} branches on unread key {key!r}")
+            op = _CMP.get(cmp)
             if op is None:
-                raise ProgramError(f"unknown comparison {step.cmp!r}")
-            observed = last_read[step.key]
-            if not op(0 if observed is None else observed, step.operand):
-                pc += step.skip
-                if pc > n:
+                raise ProgramError(f"unknown comparison {cmp!r}")
+            observed = last_read[key]
+            if not op(0 if observed is None else observed, operand):
+                if skip > length_hint(remaining):
                     raise ProgramError(f"T{tid} branch skips past program end")
-                if step.skip < 0:  # a backward jump may never end
+                if skip < 0:  # a backward jump may never end
                     raise ProgramError(f"T{tid} branch skips backwards")
+                next(islice(remaining, skip, skip), None)  # drop the next skip steps
         else:
             raise ProgramError(f"unknown step {step!r}")
     return reads, commands

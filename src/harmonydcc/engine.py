@@ -58,50 +58,41 @@ class EngineOptions:
     update_optim: bool = True
 
 
-@dataclass
-class DependencyState:
-    tid: Tid
-    min_out: Tid
-    max_in: Tid
-
-    @classmethod
-    def initial(cls, tid: Tid) -> "DependencyState":
-        return cls(tid=tid, min_out=tid + 1, max_in=NO_INCOMING)
-
-
-def validate(state: DependencyState) -> bool:
+def validate(tid: Tid, min_out: Tid, max_in: Tid) -> bool:
     """True when the transaction must abort under the validation rule."""
-    return state.min_out < state.tid and state.min_out <= state.max_in
+    return min_out < tid and min_out <= max_in
 
 
 def resolve_rw_states(
     tids,
     readers_of: dict[Key, list[Tid]],
     writers_of: dict[Key, list[Tid]],
-) -> tuple[dict[Tid, DependencyState], int]:
+) -> tuple[dict[Tid, Tid], dict[Tid, Tid], int]:
     """Fold every reader/writer pair into min_out / max_in accumulators.
 
-    Returns the per-transaction states and the number of handler
-    invocations, which equals the number of (key, reader, writer) pairs.
+    Returns min_out and max_in per transaction, starting from tid + 1 and
+    NO_INCOMING, and the number of handler invocations, which equals the
+    number of (key, reader, writer) pairs.
     """
-    dep = {t: DependencyState.initial(t) for t in tids}
+    min_out = {t: t + 1 for t in tids}
+    max_in = dict.fromkeys(tids, NO_INCOMING)
     calls = 0
     for key, writers in writers_of.items():
         readers = readers_of.get(key)
         if not readers:
             continue
         for r in readers:
-            state_r = dep[r]
+            out = min_out[r]
             for w in writers:
                 if w == r:
                     continue
-                if w < state_r.min_out:
-                    state_r.min_out = w
-                state_w = dep[w]
-                if r > state_w.max_in:
-                    state_w.max_in = r
+                if w < out:
+                    out = w
+                if r > max_in[w]:
+                    max_in[w] = r
                 calls += 1
-    return dep, calls
+            min_out[r] = out
+    return min_out, max_in, calls
 
 
 @dataclass
@@ -115,7 +106,8 @@ class BlockExecution:
     readers_of: dict[Key, list[Tid]] = field(default_factory=dict)
     writers_of: dict[Key, list[Tid]] = field(default_factory=dict)
     # set by harmony's abort rule; the baselines leave them empty
-    dep_states: dict[Tid, DependencyState] = field(default_factory=dict)
+    min_out: dict[Tid, Tid] = field(default_factory=dict)
+    max_in: dict[Tid, Tid] = field(default_factory=dict)
     handler_calls: int = 0
     structure_hits: frozenset[Tid] = frozenset()
 
@@ -184,31 +176,33 @@ class HarmonyEngine:
         the last entry, lists them ascending and without repeats.
         """
         exec_ = BlockExecution(block)
-        store = self.store
-        readers_of = exec_.readers_of
-        writers_of = exec_.writers_of
-
-        def read(key: Key):
-            return store.read(key, snapshot)
-
+        read = self.store.reader(snapshot)
+        reads, block_commands = exec_.reads, exec_.commands
+        readers_of, writers_of = exec_.readers_of, exec_.writers_of
         for txn in block.txns:
             tid = txn.tid
             raw_reads, commands = execute_program(tid, txn.steps, read)
             for key, _, _ in raw_reads:
-                readers = readers_of.setdefault(key, [])
-                if not readers or readers[-1] != tid:
+                readers = readers_of.get(key)
+                if readers is None:
+                    readers_of[key] = [tid]
+                elif readers[-1] != tid:
                     readers.append(tid)
-            exec_.reads[tid] = tuple(raw_reads)
-            exec_.commands[tid] = commands
+            reads[tid] = tuple(raw_reads)
+            block_commands[tid] = commands
             for key in commands:
-                writers_of.setdefault(key, []).append(tid)
+                writers = writers_of.get(key)
+                if writers is None:
+                    writers_of[key] = [tid]
+                else:
+                    writers.append(tid)
         return exec_
 
     # -- abort rule ---------------------------------------------------------
 
     def resolve_dependencies(self, exec_: BlockExecution) -> None:
         tids = [t.tid for t in exec_.block.txns]
-        exec_.dep_states, exec_.handler_calls = resolve_rw_states(
+        exec_.min_out, exec_.max_in, exec_.handler_calls = resolve_rw_states(
             tids, exec_.readers_of, exec_.writers_of
         )
 
@@ -219,25 +213,25 @@ class HarmonyEngine:
         every write/write loser too.
 
         Without a previous block, as always in intra-block mode, the policy
-        is exactly the plain validation rule. With one, the rule sees a copy
-        of each state, its min_out lowered by the previous block's writers of
-        the keys read; dep_states, which orders updates, stays as resolved."""
+        is exactly the plain validation rule. With one, the rule tests a
+        local copy of each min_out, lowered by the previous block's writers
+        of the keys read; exec_.min_out, which orders updates, stays as
+        resolved."""
         self.resolve_dependencies(exec_)
         prev = self._prev
+        max_in = exec_.max_in
         hits: set[Tid] = set()
-        for tid, state in exec_.dep_states.items():
+        for tid, out in exec_.min_out.items():
             behind_committed_writer = False
             if prev is not None:
-                earliest_out = state.min_out
                 for key, _, _ in exec_.reads[tid]:
                     for w in prev.writers_of.get(key, ()):
-                        if w < earliest_out:
-                            earliest_out = w
+                        if w < out:
+                            out = w
                         if w in prev.reaches_smaller:
                             behind_committed_writer = True
-                state = DependencyState(tid, earliest_out, state.max_in)
             # middle of an in-block pattern, or newest of one reaching back
-            if validate(state) or behind_committed_writer:
+            if validate(tid, out, max_in[tid]) or behind_committed_writer:
                 hits.add(tid)
         exec_.structure_hits = frozenset(hits)
         if self.options.update_optim:
@@ -261,22 +255,31 @@ class HarmonyEngine:
         when update reordering is on, else keep them in TID order; coalesce
         them into one command and evaluate it once on the state left by the
         previous block. Returns the writes and the applied order of every
-        written key."""
-        store = self.store
-        dep = exec_.dep_states
+        written key.
+
+        Writers are listed in ascending TID order and the sort is stable, so
+        sorting by min_out alone gives the (min_out, tid) order. A key whose
+        one writer committed takes that writer's command as it is."""
+        read = self.store.reader(exec_.block.id - 1)
         commands = exec_.commands
-        base_block = exec_.block.id - 1
+        by_min_out = exec_.min_out.__getitem__
         reorder = self.options.update_optim
         writes: dict[Key, int] = {}
         applied_order: dict[Key, tuple[Tid, ...]] = {}
         for key, writers in exec_.writers_of.items():
+            if len(writers) == 1:
+                (tid,) = writers
+                if tid in committed:
+                    writes[key] = apply_command(commands[tid][key], read(key))
+                    applied_order[key] = (tid,)
+                continue
             survivors = [t for t in writers if t in committed]
             if not survivors:
                 continue
             if reorder:
-                survivors.sort(key=lambda t: (dep[t].min_out, t))
+                survivors.sort(key=by_min_out)
             composed = compose([commands[t][key] for t in survivors])
-            writes[key] = apply_command(composed, store.read(key, base_block))
+            writes[key] = apply_command(composed, read(key))
             applied_order[key] = tuple(survivors)
         return writes, applied_order
 
@@ -318,7 +321,7 @@ class HarmonyEngine:
         prev = self._prev
         reaches: set[Tid] = set()
         for tid in committed:
-            if exec_.dep_states[tid].min_out < tid:
+            if exec_.min_out[tid] < tid:
                 reaches.add(tid)
             elif prev is not None and any(
                 key in prev.writers_of for key, _, _ in exec_.reads[tid]

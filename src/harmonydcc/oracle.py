@@ -112,9 +112,7 @@ def check_block(
         return [f"block {block.id}: committed dependency graph has a cycle"]
     snapshot = block.id - 1
     txns = {t.tid: t for t in block.txns}
-    _, overlay = run_serially(
-        (txns[tid] for tid in order), lambda key: store.read(key, snapshot)
-    )
+    _, overlay = run_serially((txns[tid] for tid in order), store.reader(snapshot))
     if overlay != result.writes:
         return [f"block {block.id}: installed state is not serially reachable"]
     return []
@@ -124,7 +122,7 @@ def check_serial_block(block: Block, result: BlockResult, store: SnapshotStore) 
     """check_block for a serial engine, whose reads see lower TIDs' writes, not
     a snapshot: a TID-order replay must give every recorded read and write."""
     snapshot = block.id - 1
-    executed, overlay = run_serially(block.txns, lambda key: store.read(key, snapshot))
+    executed, overlay = run_serially(block.txns, store.reader(snapshot))
     replayed = BlockReads({tid: tuple(reads) for tid, (reads, _) in executed.items()}, snapshot)
     if replayed != result.reads or overlay != result.writes:
         return [f"block {block.id}: a serial replay reads or writes other values"]

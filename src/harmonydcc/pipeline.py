@@ -25,7 +25,6 @@ from .core import (
     GENESIS_PREV_HASH,
     Block,
     ContractError,
-    ReadStep,
     Transaction,
     seal_block,
 )
@@ -201,21 +200,6 @@ class RunOutcome:
 
     def rows_identical(self) -> bool:
         return all(row == self.hash_matrix[0] for row in self.hash_matrix[1:])
-
-
-def tamper_block(block: Block) -> Block:
-    """A byte-level corruption model: mutate one step of the first
-    transaction while keeping the recorded hashes."""
-    first = block.txns[0]
-    step = first.steps[0]
-    if isinstance(step, ReadStep):
-        mutated = ReadStep(step.key + "x")
-    else:  # an update or a branch step
-        mutated = step._replace(operand=step.operand + 1)
-    txns = (
-        Transaction(first.tid, first.block, (mutated,) + first.steps[1:]),
-    ) + block.txns[1:]
-    return Block(id=block.id, txns=txns, prev_hash=block.prev_hash, hash=block.hash)
 
 
 def run_replicas(blocks: Sequence[Block], config: RunConfig) -> RunOutcome:

@@ -68,12 +68,24 @@ class SnapshotStore:
         self.last_committed_block: BlockId = start_block
 
     def read(self, key: Key, snapshot: BlockId) -> Value:
+        return self.reader(snapshot)(key)
+
+    def reader(self, snapshot: BlockId) -> Callable[[Key], Value]:
+        """A one-argument read at snapshot, valid until the next install:
+        at last_committed_block the visible dict's own get, at the block
+        before a lookup through the before-images. ContractError here, not
+        at the first read, if the snapshot is not held."""
         last = self.last_committed_block
+        latest = self._latest
         if snapshot == last:
-            return self._latest.get(key)
+            return latest.get
         if snapshot == last - 1:
             before = self._before
-            return before[key] if key in before else self._latest.get(key)
+
+            def read_before(key: Key) -> Value:
+                return before[key] if key in before else latest.get(key)
+
+            return read_before
         raise ContractError(
             f"snapshot {snapshot} is not held: the store holds blocks "
             f"{last - 1} and {last}"
@@ -345,17 +357,18 @@ class CheckpointManager:
             or self._deltas >= MAX_DELTAS
             or 2 * (self._delta_keys + len(changed)) > self._full_keys
         )
+        read_prior = store.reader(block - 1)
         if full:
             base_state = store.visible_state()
             for key in block_writes:
-                prior = store.read(key, block - 1)
+                prior = read_prior(key)
                 if prior is None:
                     base_state.pop(key, None)
                 else:
                     base_state[key] = prior
             body = {"block": block}
         else:
-            base_state = {key: store.read(key, block - 1) for key in changed}
+            base_state = {key: read_prior(key) for key in changed}
             body = {"block": block, "base": list(base)}
         body["base_state"] = base_state
         body["last_writes"] = dict(block_writes)

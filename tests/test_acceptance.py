@@ -153,7 +153,7 @@ def test_criterion_03_accumulator_rule_matches_enumeration():
     mismatches = 0
     for _ in range(1000):
         tids, readers_of, writers_of = _random_config(rng)
-        dep, _ = resolve_rw_states(tids, readers_of, writers_of)
+        min_out, max_in, _ = resolve_rw_states(tids, readers_of, writers_of)
         edges = set()
         for key, writers in writers_of.items():
             for j in readers_of.get(key, ()):
@@ -166,7 +166,7 @@ def test_criterion_03_accumulator_rule_matches_enumeration():
             enumerated = any(
                 i < j and i <= k for i in outgoing for k in incoming
             )
-            if validate(dep[j]) != enumerated:
+            if validate(j, min_out[j], max_in[j]) != enumerated:
                 mismatches += 1
     _report(3, mismatches == 0, f"1000 configurations, {mismatches} mismatches")
 
@@ -178,11 +178,11 @@ def test_criterion_04_min_out_order_is_topological():
     violations = 0
     for _ in range(1000):
         tids, readers_of, writers_of = _random_config(rng)
-        dep, _ = resolve_rw_states(tids, readers_of, writers_of)
-        survivors = [t for t in tids if not validate(dep[t])]
+        min_out, max_in, _ = resolve_rw_states(tids, readers_of, writers_of)
+        survivors = [t for t in tids if not validate(t, min_out[t], max_in[t])]
         position = {
             t: i
-            for i, t in enumerate(sorted(survivors, key=lambda t: (dep[t].min_out, t)))
+            for i, t in enumerate(sorted(survivors, key=lambda t: (min_out[t], t)))
         }
         for key, writers in writers_of.items():
             for reader in readers_of.get(key, ()):
@@ -443,7 +443,7 @@ def test_criterion_11_recovery_and_tamper_detection(tmp_path):
         ):
             recover_ok += 1
 
-    from harmonydcc.pipeline import tamper_block
+    from test_pipeline import tamper_block
     from harmonydcc.storage import ChainLog
 
     spec = WorkloadSpec(kind="ycsb", keys=60, ops_per_txn=4, theta=0.5, seed=SEED)

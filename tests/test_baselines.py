@@ -52,7 +52,7 @@ def test_fabric_applies_committed_blind_writers_in_tid_order():
     probe = FabricEngine(SnapshotStore())
     exec_ = probe.simulate(blocks[0], -1)
     probe.resolve_dependencies(exec_)
-    assert exec_.dep_states[3].min_out < exec_.dep_states[2].min_out
+    assert exec_.min_out[3] < exec_.min_out[2]
     store, (result,) = run_with(FabricEngine, blocks)
     assert result.aborted == frozenset({1})
     assert result.applied_order["x"] == (2, 3)

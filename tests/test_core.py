@@ -226,6 +226,21 @@ def test_branch_skip_past_end_is_error():
         execute_program(1, steps, lambda k: 10)
 
 
+def test_branch_skip_to_the_last_step_returns_without_the_skipped_updates():
+    skipped = (UpdateStep("a", "add", 1), UpdateStep("b", "add", 1))
+    steps = (ReadStep("x"), BranchStep("x", "lt", 0, len(skipped))) + skipped
+    reads, commands = execute_program(1, steps, lambda k: 10)
+    assert reads == [("x", 10, False)]
+    assert commands == {}
+
+
+def test_branch_skip_one_past_the_last_step_is_error():
+    skipped = (UpdateStep("a", "add", 1), UpdateStep("b", "add", 1))
+    steps = (ReadStep("x"), BranchStep("x", "lt", 0, len(skipped) + 1)) + skipped
+    with pytest.raises(ProgramError, match="skips past program end"):
+        execute_program(1, steps, lambda k: 10)
+
+
 def test_branch_skipping_backwards_is_error():
     # a backward jump re-runs the branch on the same read, forever; the alarm
     # turns a hang into a failure

@@ -12,7 +12,6 @@ from harmonydcc.core import (
 )
 from harmonydcc.engine import (
     NO_INCOMING,
-    DependencyState,
     EngineOptions,
     HarmonyEngine,
     resolve_rw_states,
@@ -63,8 +62,8 @@ def test_two_transaction_match_states():
     engine = HarmonyEngine(store)
     exec_ = engine.simulate(blocks[0], -1)
     engine.resolve_dependencies(exec_)
-    assert (exec_.dep_states[2].min_out, exec_.dep_states[2].max_in) == (1, 1)
-    assert (exec_.dep_states[1].min_out, exec_.dep_states[1].max_in) == (2, 2)
+    assert (exec_.min_out[2], exec_.max_in[2]) == (1, 1)
+    assert (exec_.min_out[1], exec_.max_in[1]) == (2, 2)
 
 
 def test_resolution_matches_brute_force_on_random_blocks():
@@ -100,8 +99,7 @@ def test_resolution_matches_brute_force_on_random_blocks():
             for k in reads:
                 if k != j and reads[k] & writes[j]:
                     expect_max = max(expect_max, k)
-            state = exec_.dep_states[j]
-            assert (state.min_out, state.max_in) == (expect_min, expect_max)
+            assert (exec_.min_out[j], exec_.max_in[j]) == (expect_min, expect_max)
         pairs = sum(
             len(readers) * len(writers) - len(set(readers) & set(writers))
             for key in set(exec_.readers_of) & set(exec_.writers_of)
@@ -115,7 +113,7 @@ def test_resolution_matches_brute_force_on_random_blocks():
 
 
 def test_validate_initial_state_commits():
-    assert not validate(DependencyState.initial(5))
+    assert not validate(5, 5 + 1, NO_INCOMING)
 
 
 def test_two_transaction_match_aborts_exactly_t2():
@@ -142,7 +140,7 @@ def test_commit_step_aborts_by_validate(monkeypatch, inter_block):
     # the rule the tests prove against enumeration is the one the engine runs
     from harmonydcc import engine as engine_module
 
-    monkeypatch.setattr(engine_module, "validate", lambda state: True)
+    monkeypatch.setattr(engine_module, "validate", lambda tid, min_out, max_in: True)
     blocks = _random_stream(3, n_blocks=3)
     _, _, results = run_chain(blocks, inter_block=inter_block)
     for block, result in zip(blocks, results):
@@ -159,7 +157,7 @@ def test_rule_matches_structure_enumeration_on_random_configs():
         readers_of = {k: sorted(rng.sample(tids, rng.randint(0, n))) for k in keys}
         writers_of = {k: sorted(rng.sample(tids, rng.randint(0, n))) for k in keys}
         writers_of = {k: v for k, v in writers_of.items() if v}
-        dep, _ = resolve_rw_states(tids, readers_of, writers_of)
+        min_out, max_in, _ = resolve_rw_states(tids, readers_of, writers_of)
         # explicit rw edge set: (reader j, writer i) sharing a key
         edges = set()
         for key, writers in writers_of.items():
@@ -175,7 +173,7 @@ def test_rule_matches_structure_enumeration_on_random_configs():
                 for (k, jjj) in edges
                 if jjj == j
             )
-            assert validate(dep[j]) == enumerated
+            assert validate(j, min_out[j], max_in[j]) == enumerated
 
 
 def test_surviving_min_out_order_is_topological():
@@ -186,12 +184,12 @@ def test_surviving_min_out_order_is_topological():
         keys = [f"k{i}" for i in range(rng.randint(1, 5))]
         readers_of = {k: sorted(rng.sample(tids, rng.randint(0, n))) for k in keys}
         writers_of = {k: sorted(rng.sample(tids, rng.randint(0, n))) for k in keys}
-        dep, _ = resolve_rw_states(tids, readers_of, writers_of)
-        survivors = [t for t in tids if not validate(dep[t])]
+        min_out, max_in, _ = resolve_rw_states(tids, readers_of, writers_of)
+        survivors = [t for t in tids if not validate(t, min_out[t], max_in[t])]
         position = {
             t: idx
             for idx, t in enumerate(
-                sorted(survivors, key=lambda t: (dep[t].min_out, t))
+                sorted(survivors, key=lambda t: (min_out[t], t))
             )
         }
         for key, writers in writers_of.items():

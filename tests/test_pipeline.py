@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from harmonydcc.core import ContractError, ReadStep, UpdateOverflowError, UpdateStep
+from harmonydcc.core import (
+    Block,
+    ContractError,
+    ReadStep,
+    Transaction,
+    UpdateOverflowError,
+    UpdateStep,
+)
 from harmonydcc.pipeline import (
     Replica,
     RunConfig,
@@ -11,10 +18,25 @@ from harmonydcc.pipeline import (
     build_engine,
     make_blocks,
     run_replicas,
-    tamper_block,
 )
 from harmonydcc.storage import SnapshotStore
 from harmonydcc.workloads import WorkloadSpec, generate
+
+
+def tamper_block(block: Block) -> Block:
+    """A byte-level corruption model: mutate one step of the first
+    transaction while keeping the recorded hashes."""
+    first = block.txns[0]
+    step = first.steps[0]
+    if isinstance(step, ReadStep):
+        mutated = ReadStep(step.key + "x")
+    else:  # an update or a branch step
+        mutated = step._replace(operand=step.operand + 1)
+    txns = (
+        Transaction(first.tid, first.block, (mutated,) + first.steps[1:]),
+    ) + block.txns[1:]
+    return Block(id=block.id, txns=txns, prev_hash=block.prev_hash, hash=block.hash)
+
 
 
 def _programs(n, keys=30, seed=2, theta=0.7):

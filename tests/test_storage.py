@@ -19,7 +19,7 @@ from harmonydcc.core import (
     seal_block,
 )
 from harmonydcc.engine import EngineOptions, HarmonyEngine
-from harmonydcc.pipeline import Replica, RunConfig, make_blocks, tamper_block
+from harmonydcc.pipeline import Replica, RunConfig, make_blocks
 from harmonydcc.storage import (
     MAX_DELTAS,
     ChainError,
@@ -33,6 +33,8 @@ from harmonydcc.storage import (
     recover,
 )
 from harmonydcc.workloads import WorkloadSpec, generate
+
+from test_pipeline import tamper_block
 
 
 def test_read_returns_latest_version_at_or_below_snapshot():
@@ -208,11 +210,21 @@ def _answer(store, key, snapshot):
         return ContractError
 
 
+def _reader(store, snapshot):
+    """store.reader(snapshot), or ContractError if that call refuses it."""
+    try:
+        return store.reader(snapshot)
+    except ContractError:
+        return ContractError
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_live_and_recovered_stores_answer_and_refuse_the_same_snapshots(seed):
     """A store rebuilt from a checkpoint at any block answers reads at the
     last block and the one before exactly as the live store did there, and
-    refuses the block before those, as the live store does."""
+    refuses the block before those, as the live store does; read(key, s)
+    and reader(s)(key) agree, and reader(s) itself refuses a snapshot that
+    is not held."""
     rng = random.Random(seed)
     keys = [f"k{i}" for i in range(20)]
     live = SnapshotStore()
@@ -222,9 +234,15 @@ def test_live_and_recovered_stores_answer_and_refuse_the_same_snapshots(seed):
         live.install_block_writes(block, writes)
         rebuilt = SnapshotStore.from_checkpoint(block - 1, previous_state, writes)
         for snapshot in (block, block - 1, block - 2):
+            live_reader, rebuilt_reader = _reader(live, snapshot), _reader(rebuilt, snapshot)
+            held = snapshot != block - 2
+            assert (live_reader is not ContractError) == held
+            assert (rebuilt_reader is not ContractError) == held
             for key in [*keys, "never-written"]:
                 expected = _answer(live, key, snapshot)
                 assert _answer(rebuilt, key, snapshot) == expected
+                if held:
+                    assert live_reader(key) == rebuilt_reader(key) == expected
         assert _answer(live, keys[0], block - 2) is ContractError
         previous_state = live.visible_state()
 
