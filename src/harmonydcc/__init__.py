@@ -10,7 +10,7 @@ from .core import (
     compose,
     seal_block,
 )
-from .engine import BlockResult, EngineOptions, HarmonyEngine
+from .engine import BlockResult, HarmonyEngine
 from .pipeline import RunConfig, make_blocks, run_replicas
 from .storage import ChainLog, SnapshotStore
 from .workloads import WorkloadSpec, generate
@@ -22,7 +22,6 @@ __all__ = [
     "BlockResult",
     "BranchStep",
     "ChainLog",
-    "EngineOptions",
     "HarmonyEngine",
     "ReadStep",
     "RunConfig",

@@ -26,7 +26,7 @@ from .core import (
     reads_input,
     run_serially,
 )
-from .engine import BlockExecution, EngineOptions, HarmonyEngine
+from .engine import BlockExecution, HarmonyEngine
 from .storage import SnapshotStore
 
 
@@ -35,7 +35,7 @@ class _SnapshotBaseline(HarmonyEngine):
     the abort rule."""
 
     def __init__(self, store: SnapshotStore):
-        super().__init__(store, EngineOptions(update_optim=False))
+        super().__init__(store, update_optim=False)
 
     def simulate(self, block: Block, snapshot: BlockId) -> BlockExecution:
         """The engine's simulation, then one implied read per

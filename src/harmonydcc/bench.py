@@ -1,6 +1,7 @@
 """Benchmark CLI: engine x workload x option grids, CSV output, comparisons.
 
-Same config and seed produce a byte-identical CSV apart from the wall_time
+Each grid point is one pipeline.RunConfig and one workloads.WorkloadSpec.
+The same flags and seed produce a byte-identical CSV apart from the wall_time
 column. Throughput (commits per second) is a model: commits over the
 pipeline's deterministic event clock, which charges each block fitted stage
 costs and network delay; wall_time reports real elapsed seconds.
@@ -61,46 +62,15 @@ class RunMetrics:
     commits_per_second: float
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    engine: str = "harmony"
-    workload: str = "ycsb"
-    theta: float = 0.6
-    keys: int = 10_000
-    txns: int = 5_000
-    block_size: int = 25
-    replicas: int = 1
-    inter_block: bool = False
-    update_optim: bool = True
-    seed: int = 42
-    delay_max: float = 0.0
-    hotspot_prob: float = 0.5
-    oracle_check: bool = False
-
-
-def run_experiment(config: ExperimentConfig) -> tuple[RunMetrics, dict[str, str]]:
-    """One grid point: generate, sequence, run, measure; returns the metrics
-    and a formatted CSV row."""
-    spec = WorkloadSpec(
-        kind=config.workload,
-        keys=config.keys,
-        theta=config.theta,
-        hotspot_prob=config.hotspot_prob,
-        seed=config.seed,
-    )
-    programs = generate(spec, config.txns)
-    blocks = make_blocks(programs, config.block_size)
-    run_config = RunConfig(
-        replicas=config.replicas,
-        block_size=config.block_size,
-        delay_max=config.delay_max,
-        seed=config.seed,
-        engine=config.engine,
-        inter_block=config.inter_block,
-        update_optim=config.update_optim,
-    )
+def run_experiment(
+    config: RunConfig, spec: WorkloadSpec, txns: int, oracle_check: bool = False
+) -> tuple[RunMetrics, dict[str, str]]:
+    """One grid point: generate txns programs, seal blocks of
+    config.block_size, run, measure; returns the metrics and a formatted
+    CSV row."""
+    blocks = make_blocks(generate(spec, txns), config.block_size)
     started = time.perf_counter()
-    outcome = run_replicas(blocks, run_config)
+    outcome = run_replicas(blocks, config)
     wall_time = time.perf_counter() - started
     if not outcome.rows_identical():
         raise ReplicaDivergence(
@@ -111,7 +81,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunMetrics, dict[str, str]
     aborted = sum(len(r.aborted) for r in results)
     total = committed + aborted
     false_rate: Optional[float] = None
-    if config.oracle_check:
+    if oracle_check:
         # a store of its own, fed the reported writes: a replica store that
         # installs other values than it reports then fails the hash check
         problems: list[str] = []
@@ -148,8 +118,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunMetrics, dict[str, str]
     )
     row = {
         "engine": config.engine,
-        "workload": config.workload,
-        "theta": f"{config.theta:g}",
+        "workload": spec.kind,
+        "theta": f"{spec.theta:g}",
         "block_size": str(config.block_size),
         "inter_block": "true" if config.inter_block else "false",
         "update_optim": "true" if config.update_optim else "false",
@@ -239,81 +209,63 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an engine/workload grid")
-    run.add_argument("--engine", nargs="+", choices=ENGINE_KINDS)
+    run.add_argument("--engine", nargs="+", default=["harmony"], choices=ENGINE_KINDS)
     run.add_argument("--workload", nargs="+", default=["ycsb"], choices=WORKLOAD_KINDS)
     run.add_argument("--theta", nargs="+", type=float, default=[0.6])
     run.add_argument("--keys", type=int, default=10_000)
     run.add_argument("--txns", type=int, default=5_000)
-    run.add_argument("--block-size", nargs="+", type=int)
-    run.add_argument("--replicas", type=int)
-    run.add_argument("--inter-block", action=argparse.BooleanOptionalAction)
-    run.add_argument("--update-optim", action=argparse.BooleanOptionalAction)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--delay-max", type=float)
+    run.add_argument("--block-size", nargs="+", type=int, default=[25])
+    run.add_argument("--replicas", type=int, default=1)
+    run.add_argument("--inter-block", action=argparse.BooleanOptionalAction, default=False)
+    run.add_argument("--update-optim", action=argparse.BooleanOptionalAction, default=True)
+    run.add_argument("--seed", type=int, default=42)
+    run.add_argument("--delay-max", type=float, default=0.0)
     run.add_argument("--hotspot-prob", type=float, default=0.5)
     run.add_argument("--oracle-check", action="store_true")
-    run.add_argument("--config", type=str, help="JSON config file supplying defaults")
-    run.add_argument("--out", type=str, help="CSV output path (plus a .dat twin)")
+    run.add_argument("--out", type=str, help="CSV output path")
     cmp_ = sub.add_parser("compare", help="rank engines across CSV outputs")
     cmp_.add_argument("files", nargs="+")
     return parser
 
 
-def _grid(args: argparse.Namespace) -> list[ExperimentConfig]:
-    base = RunConfig.from_file(args.config) if args.config else RunConfig(replicas=1)
-
-    def pick(flag, fallback):
-        return fallback if flag is None else flag
-
-    engines = pick(args.engine, [base.engine])
-    block_sizes = pick(args.block_size, [base.block_size])
-    configs = []
-    for engine, workload, theta, block_size in product(
-        engines, args.workload, args.theta, block_sizes
-    ):
-        configs.append(
-            ExperimentConfig(
-                engine=engine,
-                workload=workload,
-                theta=theta,
-                keys=args.keys,
-                txns=args.txns,
+def _grid(args: argparse.Namespace) -> list[tuple[RunConfig, WorkloadSpec]]:
+    """Every grid point's run settings and workload, all validated before
+    any point runs."""
+    return [
+        (
+            RunConfig(
+                replicas=args.replicas,
                 block_size=block_size,
-                replicas=pick(args.replicas, base.replicas),
-                inter_block=pick(args.inter_block, base.inter_block),
-                update_optim=pick(args.update_optim, base.update_optim),
-                seed=pick(args.seed, base.seed if args.config else 42),
-                delay_max=pick(args.delay_max, base.delay_max),
+                delay_max=args.delay_max,
+                seed=args.seed,
+                engine=engine,
+                inter_block=args.inter_block,
+                update_optim=args.update_optim,
+            ),
+            WorkloadSpec(
+                kind=workload,
+                keys=args.keys,
+                theta=theta,
                 hotspot_prob=args.hotspot_prob,
-                oracle_check=args.oracle_check,
-            )
+                seed=args.seed,
+            ),
         )
-    return configs
+        for engine, workload, theta, block_size in product(
+            args.engine, args.workload, args.theta, args.block_size
+        )
+    ]
 
 
-def _write_outputs(rows: list[dict[str, str]], out: Optional[str]) -> str:
+def _csv_text(rows: list[dict[str, str]]) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS)
     writer.writeheader()
     writer.writerows(rows)
-    text = buffer.getvalue()
-    if out:
-        path = Path(out)
-        path.write_text(text, encoding="utf-8")
-        dat = path.with_suffix(".dat")
-        with open(dat, "w", encoding="utf-8") as fh:
-            fh.write("# " + " ".join(CSV_COLUMNS) + "\n")
-            for row in rows:
-                fh.write(
-                    " ".join(row[col] if row[col] != "" else "nan" for col in CSV_COLUMNS)
-                    + "\n"
-                )
-    return text
+    return buffer.getvalue()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "compare":
             print(compare(args.files))
@@ -321,16 +273,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out and not Path(args.out).parent.is_dir():
             # fail before the grid runs rather than after
             raise ContractError(f"--out {args.out}: its directory does not exist")
-        configs = _grid(args)
-        if any(
-            (c.inter_block or not c.update_optim) and c.engine != "harmony"
-            for c in configs
-        ):
-            parser.error(
-                "--inter-block / --no-update-optim only apply to --engine harmony"
-            )
-        outcomes = [run_experiment(c) for c in configs]
-        text = _write_outputs([row for _, row in outcomes], args.out)
+        points = _grid(args)
+        outcomes = [
+            run_experiment(config, spec, args.txns, args.oracle_check)
+            for config, spec in points
+        ]
+        text = _csv_text([row for _, row in outcomes])
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
     except OracleViolation as exc:
         print(f"oracle violation: {exc}", file=sys.stderr)
         return 2
@@ -340,9 +290,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.out:
         print(text, end="")
     else:
-        for config, (metrics, _) in zip(configs, outcomes):
+        for (config, spec), (metrics, _) in zip(points, outcomes):
             print(
-                f"{config.engine}/{config.workload} theta={config.theta:g} "
+                f"{config.engine}/{spec.kind} theta={spec.theta:g} "
                 f"block={config.block_size}: abort_rate={metrics.abort_rate:.4f} "
                 f"model commits/s={metrics.commits_per_second:.1f}"
             )

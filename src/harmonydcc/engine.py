@@ -52,12 +52,6 @@ from .storage import SnapshotStore
 NO_INCOMING = -1  # max_in sentinel; every TID is non-negative
 
 
-@dataclass
-class EngineOptions:
-    inter_block: bool = False
-    update_optim: bool = True
-
-
 def validate(tid: Tid, min_out: Tid, max_in: Tid) -> bool:
     """True when the transaction must abort under the validation rule."""
     return min_out < tid and min_out <= max_in
@@ -160,9 +154,12 @@ class _Carryover:
 class HarmonyEngine:
     """Snapshot-simulate, validate, reorder, coalesce, install."""
 
-    def __init__(self, store: SnapshotStore, options: Optional[EngineOptions] = None):
+    def __init__(
+        self, store: SnapshotStore, inter_block: bool = False, update_optim: bool = True
+    ):
         self.store = store
-        self.options = options or EngineOptions()
+        self.inter_block = inter_block
+        self.update_optim = update_optim
         self._prev: Optional[_Carryover] = None
 
     # -- simulation step ----------------------------------------------------
@@ -234,7 +231,7 @@ class HarmonyEngine:
             if validate(tid, out, max_in[tid]) or behind_committed_writer:
                 hits.add(tid)
         exec_.structure_hits = frozenset(hits)
-        if self.options.update_optim:
+        if self.update_optim:
             return hits
         return hits | self._ww_losers(exec_)
 
@@ -263,7 +260,7 @@ class HarmonyEngine:
         read = self.store.reader(exec_.block.id - 1)
         commands = exec_.commands
         by_min_out = exec_.min_out.__getitem__
-        reorder = self.options.update_optim
+        reorder = self.update_optim
         writes: dict[Key, int] = {}
         applied_order: dict[Key, tuple[Tid, ...]] = {}
         for key, writers in exec_.writers_of.items():
@@ -291,13 +288,13 @@ class HarmonyEngine:
                 f"block {block.id} entered its commit step out of order "
                 f"(store is at {self.store.last_committed_block})"
             )
-        snapshot = block.id - (2 if self.options.inter_block else 1)
+        snapshot = block.id - (2 if self.inter_block else 1)
         exec_ = self.simulate(block, snapshot)
         aborted = self.abort_set(exec_)
         committed = frozenset(t.tid for t in block.txns) - aborted
         writes, applied_order = self.apply_write_sets(exec_, committed)
         self.store.install_block_writes(block.id, writes)
-        if self.options.inter_block:
+        if self.inter_block:
             self._prev = self._carryover(exec_, committed, applied_order)
         return BlockResult(
             block_id=block.id,

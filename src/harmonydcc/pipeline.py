@@ -13,8 +13,6 @@ moves only the delivery delays, and the stage costs are constants.
 """
 from __future__ import annotations
 
-import dataclasses
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,11 +26,12 @@ from .core import (
     Transaction,
     seal_block,
 )
-from .engine import BlockResult, EngineOptions, HarmonyEngine
+from .engine import BlockResult, HarmonyEngine
 from .storage import CHAIN_FILE, ChainError, ChainLog, CheckpointManager, SnapshotStore
 from .workloads import Program
 
-ENGINE_KINDS = ("harmony", "fabric", "aria", "serial")
+BASELINES = {"fabric": FabricEngine, "aria": AriaEngine, "serial": SerialEngine}
+ENGINE_KINDS = ("harmony", *BASELINES)
 
 # Event-clock seconds, fitted to HarmonyEngine's plain-timer stage costs (CHANGES.md)
 SIM_STEP_COST = 1.8e-5
@@ -78,6 +77,9 @@ class SimulatedNetwork:
 
 @dataclass
 class RunConfig:
+    """A run's settings. inter_block and update_optim switch harmony's
+    modes; every baseline runs with both at their defaults."""
+
     replicas: int = 4
     block_size: int = 25
     delay_max: float = 0.0
@@ -92,57 +94,21 @@ class RunConfig:
             raise ContractError("replica count must be positive")
         if self.checkpoint_p < 1:
             raise ContractError("checkpoint period must be positive")
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ContractError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ContractError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ContractError(f"unknown config keys: {sorted(unknown)}")
-        for f in dataclasses.fields(cls):
-            if f.name not in data:
-                continue
-            # bool is a subclass of int, so compare exact types
-            value, want = data[f.name], type(f.default)
-            if type(value) is not want and not (want is float and type(value) is int):
-                raise ContractError(
-                    f"config key {f.name!r} must be {want.__name__}, "
-                    f"not {type(value).__name__}"
-                )
-        return cls(**data)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        if self.engine not in ENGINE_KINDS:
+            raise ContractError(f"unknown engine {self.engine!r}")
+        if self.engine != "harmony" and (self.inter_block or not self.update_optim):
+            raise ContractError(
+                f"inter_block / update_optim switches only apply to the harmony "
+                f"engine, not {self.engine!r}"
+            )
 
 
 def build_engine(kind: str, store: SnapshotStore, config: RunConfig):
+    if kind != config.engine:
+        raise ContractError(f"cannot build engine {kind!r} from a {config.engine!r} config")
     if kind == "harmony":
-        return HarmonyEngine(
-            store,
-            EngineOptions(
-                inter_block=config.inter_block,
-                update_optim=config.update_optim,
-            ),
-        )
-    if config.inter_block or not config.update_optim:
-        raise ContractError(
-            f"inter_block / update_optim switches only apply to the harmony "
-            f"engine, not {kind!r}"
-        )
-    if kind == "fabric":
-        return FabricEngine(store)
-    if kind == "aria":
-        return AriaEngine(store)
-    if kind == "serial":
-        return SerialEngine(store)
-    raise ContractError(f"unknown engine {kind!r}")
+        return HarmonyEngine(store, config.inter_block, config.update_optim)
+    return BASELINES[kind](store)
 
 
 class Replica:

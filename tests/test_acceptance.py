@@ -19,7 +19,6 @@ from harmonydcc.core import (
     seal_block,
 )
 from harmonydcc.engine import (
-    EngineOptions,
     HarmonyEngine,
     resolve_rw_states,
     validate,
@@ -120,7 +119,7 @@ def test_criterion_02_serializability_over_randomized_blocks():
     for _ in range(250):
         keyspace = [f"k{i}" for i in range(rng.randint(4, 24))]
         store = SnapshotStore()
-        engine = HarmonyEngine(store, EngineOptions())
+        engine = HarmonyEngine(store)
         prev, tid = GENESIS_PREV_HASH, 0
         for block_id in range(40):
             txns = []
@@ -205,7 +204,7 @@ def test_criterion_05_blind_writers_commit_under_reordering(n):
     adders = [(UpdateStep("hot", "add", i + 1),) for i in range(n)]
     blocks = _mk_blocks([[seed_program], adders])
     store = SnapshotStore()
-    engine = HarmonyEngine(store, EngineOptions())
+    engine = HarmonyEngine(store)
     engine.process_block(blocks[0])
     result = engine.process_block(blocks[1])
     expected = 1000 + n * (n + 1) // 2
@@ -426,7 +425,7 @@ def test_criterion_11_recovery_and_tamper_detection(tmp_path):
         replica.close()  # crash: all volatile state gone
 
         def rebuild(store, engine_state):
-            engine = HarmonyEngine(store, EngineOptions())
+            engine = HarmonyEngine(store)
             engine.restore_state(engine_state)
             return engine
 

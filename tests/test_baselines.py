@@ -5,7 +5,7 @@ import pytest
 from harmonydcc import engine as engine_module
 from harmonydcc.baselines import AriaEngine, FabricEngine, SerialEngine
 from harmonydcc.core import BranchStep, ContractError, ReadRecord, ReadStep, UpdateStep
-from harmonydcc.engine import EngineOptions, HarmonyEngine
+from harmonydcc.engine import HarmonyEngine
 from harmonydcc.oracle import build_graph, topo_order
 from harmonydcc.storage import SnapshotStore
 
@@ -184,7 +184,7 @@ def test_only_harmony_resolves_dependencies(monkeypatch):
         run_with(engine_cls, blocks)
         assert calls == [], engine_cls.__name__
     for inter_block in (False, True):
-        run_with(lambda store: HarmonyEngine(store, EngineOptions(inter_block=inter_block)), blocks)
+        run_with(lambda store: HarmonyEngine(store, inter_block=inter_block), blocks)
         assert len(calls) == len(blocks)
         calls.clear()
 
@@ -200,7 +200,7 @@ def test_harmony_commits_more_than_fabric_on_contended_workloads():
     blocks = _random_blocks(77, n_blocks=20)
     _, fabric_results = run_with(FabricEngine, blocks)
     store = SnapshotStore()
-    harmony = HarmonyEngine(store, EngineOptions())
+    harmony = HarmonyEngine(store)
     harmony_results = [harmony.process_block(b) for b in blocks]
     fabric_committed = sum(len(r.committed) for r in fabric_results)
     harmony_committed = sum(len(r.committed) for r in harmony_results)
@@ -212,7 +212,7 @@ def test_harmony_abort_rate_below_aria_on_hotspot_blocks():
     blocks = mk_blocks([programs])
     _, aria_results = run_with(AriaEngine, blocks)
     store = SnapshotStore()
-    harmony = HarmonyEngine(store, EngineOptions())
+    harmony = HarmonyEngine(store)
     harmony_result = harmony.process_block(blocks[0])
     assert len(harmony_result.aborted) < len(aria_results[0].aborted)
     assert len(aria_results[0].committed) == 1

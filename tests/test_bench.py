@@ -1,43 +1,55 @@
 import csv
-import dataclasses
+import importlib
 import io
-import json
+from pathlib import Path
 
 import pytest
 
 from harmonydcc.bench import (
     CSV_COLUMNS,
-    ExperimentConfig,
     OracleViolation,
     compare,
     main,
     run_experiment,
 )
+from harmonydcc.pipeline import RunConfig
+from harmonydcc.workloads import WorkloadSpec
 
 
-def _tiny(**overrides):
-    base = dict(
-        engine="harmony",
-        workload="ycsb",
-        theta=0.6,
-        keys=200,
-        txns=200,
-        block_size=10,
-        seed=5,
+def test_exports_and_console_script_resolve():
+    """Every name harmonydcc exports exists, and every console script in
+    pyproject.toml names a callable."""
+    tomllib = pytest.importorskip("tomllib")
+    import harmonydcc
+
+    assert [name for name in harmonydcc.__all__ if not hasattr(harmonydcc, name)] == []
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts["harmony-bench"] == "harmonydcc.bench:main"
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
+
+
+def _run(txns=200, oracle_check=False, workload="ycsb", theta=0.6, keys=200, **config):
+    """run_experiment on a small grid point: one replica, blocks of 10 and
+    seed 5 unless overridden."""
+    run_config = RunConfig(**{"replicas": 1, "block_size": 10, "seed": 5, **config})
+    spec = WorkloadSpec(
+        kind=workload, keys=keys, theta=theta, hotspot_prob=0.5, seed=run_config.seed
     )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return run_experiment(run_config, spec, txns, oracle_check)
 
 
 def test_run_experiment_is_reproducible_modulo_wall_time():
-    _, row_a = run_experiment(_tiny())
-    _, row_b = run_experiment(_tiny())
+    _, row_a = _run()
+    _, row_b = _run()
     stable = [c for c in CSV_COLUMNS if c != "wall_time"]
     assert [row_a[c] for c in stable] == [row_b[c] for c in stable]
 
 
 def test_metrics_accounting():
-    metrics, row = run_experiment(_tiny())
+    metrics, row = _run()
     assert metrics.committed + metrics.aborted == 200
     assert 0.0 <= metrics.abort_rate <= 1.0
     assert 0.0 <= metrics.hit_rate <= 1.0
@@ -46,7 +58,7 @@ def test_metrics_accounting():
 
 
 def test_oracle_mode_fills_false_abort_rate():
-    metrics, row = run_experiment(_tiny(oracle_check=True, txns=120))
+    metrics, row = _run(oracle_check=True, txns=120)
     assert metrics.false_abort_rate is not None
     assert row["false_abort_rate"] != ""
     assert 0.0 <= metrics.false_abort_rate <= metrics.abort_rate
@@ -65,9 +77,7 @@ def test_oracle_check_builds_each_block_graph_once(monkeypatch):
         return build_graph(result)
 
     monkeypatch.setattr(oracle, "build_graph", counted)
-    run_experiment(
-        _tiny(theta=0.99, keys=2000, txns=2500, block_size=25, oracle_check=True)
-    )
+    _run(theta=0.99, keys=2000, txns=2500, block_size=25, oracle_check=True)
     assert calls == list(range(100))
 
 
@@ -84,9 +94,8 @@ def test_inter_block_oracle_check_leaves_false_abort_rate_empty(monkeypatch):
         return check_block(block, result, store, graph)
 
     monkeypatch.setattr(oracle, "check_block", counted)
-    metrics, row = run_experiment(
-        _tiny(inter_block=True, theta=0.9, keys=50, txns=600, block_size=5,
-              oracle_check=True)
+    metrics, row = _run(
+        inter_block=True, theta=0.9, keys=50, txns=600, block_size=5, oracle_check=True
     )
     assert metrics.false_abort_rate is None and row["false_abort_rate"] == ""
     assert checked == list(range(120))
@@ -108,10 +117,10 @@ def test_oracle_check_catches_a_replica_store_installing_other_values(monkeypatc
 
     monkeypatch.setattr(pipeline, "SnapshotStore", SkewedStore)
     with pytest.raises(OracleViolation, match="block 3: "):
-        run_experiment(_tiny(oracle_check=True, txns=120))
+        _run(oracle_check=True, txns=120)
 
 
-def test_cli_run_writes_csv_and_dat(tmp_path, capsys):
+def test_cli_run_writes_only_the_csv(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     code = main(
         [
@@ -138,13 +147,15 @@ def test_cli_run_writes_csv_and_dat(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(open(out)))
     assert {r["engine"] for r in rows} == {"harmony", "aria"}
-    assert (tmp_path / "grid.dat").read_text().startswith("# engine workload")
+    assert [path.name for path in tmp_path.iterdir()] == ["grid.csv"]
 
 
 def test_cli_rejects_inter_block_for_baselines(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "--engine", "aria", "--inter-block"])
-    assert excinfo.value.code == 2
+    assert main(["run", "--engine", "aria", "--inter-block"]) == 2
+    assert capsys.readouterr().err == (
+        "error: inter_block / update_optim switches only apply to the harmony "
+        "engine, not 'aria'\n"
+    )
 
 
 def test_cli_oracle_check_small_run_passes(tmp_path):
@@ -279,67 +290,6 @@ def test_oracle_violation_exits_2(monkeypatch, tmp_path):
     assert code == 2
 
 
-def test_config_file_supplies_defaults(tmp_path):
-    from harmonydcc.pipeline import RunConfig
-
-    config = RunConfig(
-        replicas=2, block_size=10, delay_max=0.5, seed=9, engine="aria", checkpoint_p=5
-    )
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(dataclasses.asdict(config)))
-    out = tmp_path / "from_config.csv"
-    code = main(
-        [
-            "run",
-            "--config",
-            str(path),
-            "--keys",
-            "150",
-            "--txns",
-            "100",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    rows = list(csv.DictReader(open(out)))
-    assert rows[0]["engine"] == "aria"
-    assert rows[0]["block_size"] == "10"
-
-
-@pytest.mark.parametrize(
-    "content",
-    [
-        None,
-        "{not json",
-        "null",
-        "[1]",
-        '{"replicas": "two"}',
-        '{"seed": false}',
-        '{"replicas": 0}',
-        '{"checkpoint_p": 0}',
-    ],
-    ids=[
-        "missing",
-        "invalid-json",
-        "null",
-        "list",
-        "str-for-int",
-        "bool-for-int",
-        "no-replicas",
-        "zero-checkpoint-period",
-    ],
-)
-def test_bad_config_file_is_a_usage_error(tmp_path, capsys, content):
-    path = tmp_path / "run.json"
-    if content is not None:
-        path.write_text(content)
-    assert main(["run", "--config", str(path), "--txns", "10"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize("replicas", ["0", "-1"])
 def test_replica_count_below_one_is_a_usage_error(capsys, replicas):
     assert main(["run", "--replicas", replicas, "--txns", "10", "--keys", "50"]) == 2
@@ -412,7 +362,7 @@ def test_serial_oracle_check_catches_an_altered_result(monkeypatch, field):
 
     monkeypatch.setattr(bench, "run_replicas", altered)
     with pytest.raises(OracleViolation, match="^block 4: a serial replay"):
-        run_experiment(_tiny(engine="serial", keys=100, txns=100, oracle_check=True))
+        _run(engine="serial", keys=100, txns=100, oracle_check=True)
 
 
 # committed, aborted, false_abort_rate and hit_rate of every row of the
@@ -439,9 +389,9 @@ GRID_ROWS = {
     [(engine, workload, row[2]) for (engine, workload), row in GRID_ROWS.items()],
 )
 def test_false_abort_rate_is_pinned(engine, workload, rate):
-    _, row = run_experiment(
-        _tiny(engine=engine, workload=workload, theta=0.99, txns=500, block_size=25,
-              oracle_check=True)
+    _, row = _run(
+        engine=engine, workload=workload, theta=0.99, txns=500, block_size=25,
+        oracle_check=True,
     )
     committed, aborted, _, hit_rate = GRID_ROWS[engine, workload]
     assert row["false_abort_rate"] == rate
@@ -452,14 +402,14 @@ def test_false_abort_rate_is_pinned(engine, workload, rate):
 
 def test_false_aborts_build_no_graph_and_read_records_once_per_block(monkeypatch):
     from harmonydcc import oracle
-    from harmonydcc.engine import BlockReads, EngineOptions, HarmonyEngine
+    from harmonydcc.engine import BlockReads, HarmonyEngine
     from harmonydcc.pipeline import make_blocks
     from harmonydcc.storage import SnapshotStore
     from harmonydcc.workloads import WorkloadSpec, generate
 
     spec = WorkloadSpec(kind="ycsb", keys=50, theta=0.99, seed=5)
     block = make_blocks(generate(spec, 25), 25)[0]
-    result = HarmonyEngine(SnapshotStore(), EngineOptions()).process_block(block)
+    result = HarmonyEngine(SnapshotStore()).process_block(block)
     assert len(result.aborted) > 3
     graph = oracle.build_graph(result)
     expected = {1, 2, 9, 10, 12, 16, 23}  # the unnecessary aborts of this block

@@ -12,7 +12,6 @@ from harmonydcc.core import (
 )
 from harmonydcc.engine import (
     NO_INCOMING,
-    EngineOptions,
     HarmonyEngine,
     resolve_rw_states,
     validate,
@@ -37,7 +36,7 @@ def mk_blocks(per_block, first_tid=0):
 
 def run_chain(blocks, **options):
     store = SnapshotStore()
-    engine = HarmonyEngine(store, EngineOptions(**options))
+    engine = HarmonyEngine(store, **options)
     results = [engine.process_block(b) for b in blocks]
     return store, engine, results
 
@@ -356,7 +355,7 @@ def test_identical_streams_yield_identical_results_across_stores():
     outputs = []
     for _ in range(4):
         store = SnapshotStore()
-        engine = HarmonyEngine(store, EngineOptions())
+        engine = HarmonyEngine(store)
         hashes, results = [], []
         for block in blocks:
             results.append(engine.process_block(block))
@@ -435,7 +434,7 @@ def test_engine_state_roundtrip_resumes_inter_block_decisions():
     t3 = (ReadStep("b"), UpdateStep("c", "add", 1))
     blocks = mk_blocks([[filler], [t1, t2], [t3]])
     store_a = SnapshotStore()
-    engine_a = HarmonyEngine(store_a, EngineOptions(inter_block=True))
+    engine_a = HarmonyEngine(store_a, inter_block=True)
     engine_a.process_block(blocks[0])
     state_0 = store_a.visible_state()
     result_1 = engine_a.process_block(blocks[1])
@@ -443,7 +442,7 @@ def test_engine_state_roundtrip_resumes_inter_block_decisions():
     # rebuild a second engine from the exported carryover, as recovery does
     store_b = SnapshotStore.from_checkpoint(0, state_0, dict(result_1.writes))
     assert store_b.state_hash() == store_a.state_hash()
-    engine_b = HarmonyEngine(store_b, EngineOptions(inter_block=True))
+    engine_b = HarmonyEngine(store_b, inter_block=True)
     engine_b.restore_state(exported)
     result_b = engine_b.process_block(blocks[2])
     assert result_b.aborted == frozenset({3})

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from harmonydcc.core import ReadStep, UpdateStep, canonical_json
-from harmonydcc.engine import EngineOptions, HarmonyEngine
+from harmonydcc.engine import HarmonyEngine
 from harmonydcc.pipeline import Replica, RunConfig, make_blocks, run_replicas
 from harmonydcc.storage import recover
 from harmonydcc.workloads import WorkloadSpec, generate
@@ -203,7 +203,7 @@ def test_delayed_replica_makespans_match_pinned_digest():
 
 
 def _inter_builder(store, engine_state):
-    engine = HarmonyEngine(store, EngineOptions(inter_block=True))
+    engine = HarmonyEngine(store, inter_block=True)
     engine.restore_state(engine_state)
     return engine
 

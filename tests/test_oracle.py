@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from harmonydcc.core import ReadStep, UpdateStep
-from harmonydcc.engine import EngineOptions, HarmonyEngine
+from harmonydcc.engine import HarmonyEngine
 from harmonydcc.oracle import build_graph, check_block, false_aborts, hit_rate, topo_order
 from harmonydcc.storage import SnapshotStore
 from harmonydcc.workloads import WorkloadSpec, generate
@@ -167,7 +167,7 @@ def test_check_block_clean_on_engine_output():
     spec = WorkloadSpec(kind="ycsb", keys=30, ops_per_txn=5, theta=0.8, seed=9)
     blocks = make_blocks(generate(spec, 120), 12)
     store = SnapshotStore()
-    engine = HarmonyEngine(store, EngineOptions())
+    engine = HarmonyEngine(store)
     for block in blocks:
         # the store holds the block's pre-block snapshot only until the next one
         result = engine.process_block(block)
@@ -230,8 +230,8 @@ def test_false_aborts_match_the_copy_and_sort_definition(engine):
     ]
     store = SnapshotStore()
     processor = {
-        "harmony": lambda: HarmonyEngine(store, EngineOptions()),
-        "harmony-no-update-optim": lambda: HarmonyEngine(store, EngineOptions(update_optim=False)),
+        "harmony": lambda: HarmonyEngine(store),
+        "harmony-no-update-optim": lambda: HarmonyEngine(store, update_optim=False),
         "fabric": lambda: FabricEngine(store),
         "aria": lambda: AriaEngine(store),
     }[engine]()

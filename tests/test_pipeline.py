@@ -1,6 +1,3 @@
-import dataclasses
-import json
-
 import pytest
 
 from harmonydcc.core import (
@@ -184,38 +181,6 @@ def test_makespans_without_delays_do_not_depend_on_the_seed():
     assert spans[0] == spans[1]
 
 
-def test_config_json_roundtrip(tmp_path):
-    config = RunConfig(
-        replicas=2,
-        block_size=10,
-        delay_max=1.5,
-        seed=11,
-        engine="aria",
-        checkpoint_p=5,
-    )
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(dataclasses.asdict(config)))
-    assert RunConfig.from_file(path) == config
-    for text in (
-        '{"bogus": 1}',
-        '{"workers": 2}',
-        "null",
-        "[1]",
-        '"x"',
-        "{oops",
-        '{"replicas": "two"}',
-        '{"replicas": true}',
-        '{"replicas": 2.0}',
-        '{"delay_max": "1"}',
-        '{"inter_block": 1}',
-        '{"engine": null}',
-    ):
-        with pytest.raises(ContractError):
-            RunConfig.from_json(text)
-    # an integer is a valid float
-    assert RunConfig.from_json('{"delay_max": 2}').delay_max == 2
-
-
 def test_engine_factory_rejects_invalid_combinations():
     store = SnapshotStore()
     with pytest.raises(ContractError):
@@ -224,6 +189,14 @@ def test_engine_factory_rejects_invalid_combinations():
         build_engine("fabric", store, RunConfig(engine="fabric", update_optim=False))
     with pytest.raises(ContractError):
         build_engine("nosuch", store, RunConfig())
+    for bad in (
+        dict(checkpoint_p=0),
+        dict(replicas=0),
+        dict(engine="nosuch"),
+        dict(engine="serial", update_optim=False),
+    ):
+        with pytest.raises(ContractError):
+            RunConfig(**bad)
 
 
 def test_engine_grid_runs_under_every_builtin_engine():

@@ -18,7 +18,7 @@ from harmonydcc.core import (
     encode_txns,
     seal_block,
 )
-from harmonydcc.engine import EngineOptions, HarmonyEngine
+from harmonydcc.engine import HarmonyEngine
 from harmonydcc.pipeline import Replica, RunConfig, make_blocks
 from harmonydcc.storage import (
     MAX_DELTAS,
@@ -382,7 +382,7 @@ def _run_replica(tmp_path: Path, n_blocks: int, p: int = 10, seed: int = 5):
 
 
 def _harmony_builder(store, engine_state):
-    engine = HarmonyEngine(store, EngineOptions())
+    engine = HarmonyEngine(store)
     engine.restore_state(engine_state)
     return engine
 
@@ -863,7 +863,7 @@ def _delta_replica(
 
 def _builder(inter_block: bool):
     def build(store, engine_state):
-        engine = HarmonyEngine(store, EngineOptions(inter_block=inter_block))
+        engine = HarmonyEngine(store, inter_block=inter_block)
         engine.restore_state(engine_state)
         return engine
 
