@@ -264,15 +264,15 @@ class Transaction:
         return Transaction(tid=tid, block=block, steps=steps)
 
 
+_STEP_TAGS = {ReadStep: "read", UpdateStep: "update", BranchStep: "branch"}
+
+
 def _step_to_obj(step: Step) -> list:
-    kind = type(step)
-    if kind is ReadStep:
-        return ["read", step.key]
-    if kind is UpdateStep:
-        return ["update", step.key, step.kind, step.operand]
-    if kind is BranchStep:
-        return ["branch", step.key, step.cmp, step.operand, step.skip]
-    raise ProgramError(f"unknown step {step!r}")
+    """The step's tag, then its fields in declaration order."""
+    tag = _STEP_TAGS.get(type(step))
+    if tag is None:
+        raise ProgramError(f"unknown step {step!r}")
+    return [tag, *step]
 
 
 def _step_from_obj(obj: list) -> Step:

@@ -92,6 +92,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ContractError("replica count must be positive")
+        if self.block_size < 1:
+            raise ContractError("block size must be positive")
         if self.checkpoint_p < 1:
             raise ContractError("checkpoint period must be positive")
         if self.engine not in ENGINE_KINDS:
@@ -114,7 +116,8 @@ def build_engine(kind: str, store: SnapshotStore, config: RunConfig):
 class Replica:
     """Processes received blocks strictly in id order, logging each block
     before executing it; halts on a hash-chain violation. It starts from
-    block 0, so it refuses a data directory whose chain log holds blocks."""
+    block 0, so its ChainLog refuses a data directory whose chain log holds
+    blocks."""
 
     def __init__(
         self,
@@ -124,10 +127,7 @@ class Replica:
     ):
         self.id = replica_id
         self.store = SnapshotStore()
-        chain_path = data_dir / CHAIN_FILE if data_dir else None
-        if chain_path and chain_path.exists() and chain_path.stat().st_size:
-            raise ContractError(f"{chain_path} already holds blocks; storage.recover reads them")
-        self.chain = ChainLog(chain_path)
+        self.chain = ChainLog(data_dir / CHAIN_FILE if data_dir else None)
         self.checkpoints = (
             CheckpointManager(data_dir, config.checkpoint_p) if data_dir else None
         )

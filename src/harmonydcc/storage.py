@@ -67,9 +67,6 @@ class SnapshotStore:
         self._sum = 0  # digest sum of the visible pairs
         self.last_committed_block: BlockId = start_block
 
-    def read(self, key: Key, snapshot: BlockId) -> Value:
-        return self.reader(snapshot)(key)
-
     def reader(self, snapshot: BlockId) -> Callable[[Key], Value]:
         """A one-argument read at snapshot, valid until the next install:
         at last_committed_block the visible dict's own get, at the block
@@ -166,13 +163,17 @@ class ChainLog:
     """Append-only block sequence with hash links, optionally file-backed.
 
     Blocks are persisted before execution begins; the file is JSON lines,
-    one block per line.
+    one block per line. A log starts at block 0, so a file that already
+    holds bytes is refused with ContractError and left as it was; an empty
+    or new file is accepted.
     """
 
     def __init__(self, path: Optional[str | Path] = None):
         self.blocks: list[Block] = []
-        self._path = Path(path) if path is not None else None
-        self._fh = open(self._path, "a", encoding="utf-8") if self._path else None
+        self._fh = open(path, "a", encoding="utf-8") if path is not None else None
+        if self._fh is not None and self._fh.tell():
+            self._fh.close()
+            raise ContractError(f"{path} already holds blocks; storage.recover reads them")
 
     @property
     def tip_hash(self) -> str:
@@ -191,15 +192,6 @@ class ChainLog:
             self._fh.write("\n")
             self._fh.flush()
             os.fsync(self._fh.fileno())
-
-    def verify_chain(self) -> Optional[BlockId]:
-        """Recompute every hash link; smallest invalid block id, None if OK."""
-        prev = GENESIS_PREV_HASH
-        for i, block in enumerate(self.blocks):
-            if _link_fault(block, i, prev) is not None:
-                return i
-            prev = block.hash
-        return None
 
     def close(self) -> None:
         if self._fh is not None:

@@ -25,13 +25,10 @@ class ZipfSampler:
     Rejection-free inverse-CDF sampling over the precomputed harmonic
     weights; theta = 0 degenerates to uniform. The table method stays exact
     at theta = 1.0, where the split-constant shortcut breaks down.
+    WorkloadSpec checks n and theta.
     """
 
     def __init__(self, n: int, theta: float, rng: random.Random):
-        if n <= 0:
-            raise ContractError("key count must be positive")
-        if not 0.0 <= theta <= 1.0:
-            raise ContractError("theta must lie in [0, 1]")
         self._rng = rng
         cumulative = []
         total = 0.0
@@ -55,6 +52,14 @@ class WorkloadSpec:
     hotspot_fraction: float = 0.01
     hotspot_prob: float = 0.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in WORKLOAD_KINDS:
+            raise ContractError(f"unknown workload kind {self.kind!r}")
+        if self.keys < 1:
+            raise ContractError("key count must be positive")
+        if not 0.0 <= self.theta <= 1.0:
+            raise ContractError("theta must lie in [0, 1]")
 
 
 def _key(rank: int) -> str:
@@ -215,8 +220,6 @@ SMALLBANK_PROCS = tuple(_SMALLBANK_BUILDERS)
 
 
 def generate(spec: WorkloadSpec, count: int) -> list[Program]:
-    if spec.kind in ("ycsb", "hotspot"):
-        return gen_ycsb(spec, count)
     if spec.kind == "smallbank":
         return gen_smallbank(spec, count)
-    raise ContractError(f"unknown workload kind {spec.kind!r}")
+    return gen_ycsb(spec, count)

@@ -209,7 +209,7 @@ def test_criterion_05_blind_writers_commit_under_reordering(n):
     result = engine.process_block(blocks[1])
     expected = 1000 + n * (n + 1) // 2
     harmony_ok = (
-        len(result.committed) == n and store.read("hot", 1) == expected
+        len(result.committed) == n and store.reader(1)("hot") == expected
     )
     aria_store = SnapshotStore()
     aria = AriaEngine(aria_store)
@@ -220,7 +220,7 @@ def test_criterion_05_blind_writers_commit_under_reordering(n):
         5,
         harmony_ok and aria_ok,
         f"N={n}: engine commits {len(result.committed)} (value "
-        f"{store.read('hot', 1)}), ww baseline commits {len(aria_result.committed)}",
+        f"{store.reader(1)('hot')}), ww baseline commits {len(aria_result.committed)}",
     )
 
 
@@ -241,7 +241,7 @@ def test_criterion_06_figure_reproductions():
     engine2 = HarmonyEngine(store2)
     engine2.process_block(blocks[0])
     reorder = engine2.process_block(blocks[1])
-    reorder_ok = reorder.aborted == frozenset() and store2.read("x", 1) == 40
+    reorder_ok = reorder.aborted == frozenset() and store2.reader(1)("x") == 40
 
     f1 = (ReadStep("b"), UpdateStep("a", "add", 1))
     f2 = (ReadStep("c"), UpdateStep("b", "add", 1), UpdateStep("x", "mul", 2))
@@ -254,7 +254,7 @@ def test_criterion_06_figure_reproductions():
     _report(
         6,
         two_txn_ok and reorder_ok and figure_ok,
-        f"two-txn abort={set(result.aborted)}, reorder x={store2.read('x', 1)}, "
+        f"two-txn abort={set(result.aborted)}, reorder x={store2.reader(1)('x')}, "
         f"updater order={figure.applied_order['x']}",
     )
 
@@ -443,27 +443,34 @@ def test_criterion_11_recovery_and_tamper_detection(tmp_path):
             recover_ok += 1
 
     from test_pipeline import tamper_block
-    from harmonydcc.storage import ChainLog
+    from harmonydcc.core import Block
+    from harmonydcc.storage import ChainError, ChainLog
 
     spec = WorkloadSpec(kind="ycsb", keys=60, ops_per_txn=4, theta=0.5, seed=SEED)
     chain_blocks = make_blocks(generate(spec, 250), 5)
     tamper_ok = 0
     for trial in range(50):
         target = rng.randrange(len(chain_blocks))
-        chain = ChainLog()
-        for block in chain_blocks:
-            chain.append_block(block)
+        original = chain_blocks[target]
         if trial % 2 == 0:
-            chain.blocks[target] = tamper_block(chain.blocks[target])
+            tampered = tamper_block(original)
         else:
-            original = chain.blocks[target]
-            chain.blocks[target] = original.__class__(
+            tampered = Block(
                 id=original.id,
                 txns=original.txns,
                 prev_hash="f" * 64,
                 hash=original.hash,
             )
-        if chain.verify_chain() == target:
+        # appended as a replica appends its stream: the first refusal names the block
+        chain = ChainLog()
+        rejected = None
+        for block in [*chain_blocks[:target], tampered, *chain_blocks[target + 1 :]]:
+            try:
+                chain.append_block(block)
+            except ChainError:
+                rejected = block.id
+                break
+        if rejected == target:
             tamper_ok += 1
     _report(
         11,

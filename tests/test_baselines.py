@@ -38,7 +38,7 @@ def test_fabric_treats_arithmetic_update_as_read():
     t2 = (UpdateStep("x", "add", 1),)
     store, results = run_with(FabricEngine, mk_blocks([[t1, t2]], first_tid=1))
     assert results[0].aborted == frozenset({2})
-    assert store.read("x", 0) == 1
+    assert store.reader(0)("x") == 1
 
 
 def test_fabric_applies_committed_blind_writers_in_tid_order():
@@ -57,7 +57,7 @@ def test_fabric_applies_committed_blind_writers_in_tid_order():
     assert result.aborted == frozenset({1})
     assert result.applied_order["x"] == (2, 3)
     assert result.writes["x"] == 20
-    assert store.read("x", 0) == 20
+    assert store.reader(0)("x") == 20
 
 
 def test_aria_ww_dependency_aborts_larger_tid():
@@ -65,7 +65,7 @@ def test_aria_ww_dependency_aborts_larger_tid():
     t2 = (UpdateStep("x", "set", 2),)
     store, results = run_with(AriaEngine, mk_blocks([[t1, t2]], first_tid=1))
     assert results[0].aborted == frozenset({2})
-    assert store.read("x", 0) == 1
+    assert store.reader(0)("x") == 1
 
 
 def test_aria_disjoint_writes_commit():
@@ -96,7 +96,7 @@ def test_serial_commits_everything_and_reads_live_state():
     )
     store, results = run_with(SerialEngine, mk_blocks([[t1, t2]], first_tid=1))
     assert results[0].aborted == frozenset()
-    assert store.read("x", 0) == 15  # T2 saw T1's write
+    assert store.reader(0)("x") == 15  # T2 saw T1's write
 
 
 def _random_blocks(seed, n_blocks=10, block_size=8, keys=6):

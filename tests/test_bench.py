@@ -297,6 +297,27 @@ def test_replica_count_below_one_is_a_usage_error(capsys, replicas):
     assert err == "error: replica count must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--block-size", "25", "0"], "block size must be positive"),
+        (["--theta", "0.5", "1.5"], "theta must lie in [0, 1]"),
+        (["--keys", "0"], "key count must be positive"),
+    ],
+    ids=["block-size", "theta", "keys"],
+)
+def test_a_bad_grid_value_is_rejected_before_any_point_runs(
+    monkeypatch, capsys, flags, message
+):
+    import harmonydcc.bench
+
+    ran = []
+    monkeypatch.setattr(harmonydcc.bench, "run_experiment", lambda *args: ran.append(args))
+    assert main(["run", "--txns", "20", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert ran == []
+
+
 def _assert_one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")

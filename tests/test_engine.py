@@ -239,7 +239,7 @@ def test_reorder_example_yields_40_with_both_committed():
     store, _, results = run_chain(blocks)
     assert results[1].aborted == frozenset()
     assert results[1].applied_order["x"] == (2, 1)  # mul evaluated first
-    assert store.read("x", 1) == 40
+    assert store.reader(1)("x") == 40
 
 
 def test_no_edges_orders_by_tid_and_both_commit():
@@ -250,7 +250,7 @@ def test_no_edges_orders_by_tid_and_both_commit():
     store, _, results = run_chain(blocks)
     assert results[1].aborted == frozenset()  # no abort despite the ww overlap
     assert results[1].applied_order["x"] == (1, 2)
-    assert store.read("x", 1) == 60
+    assert store.reader(1)("x") == 60
 
 
 def test_update_reorder_figure_sorts_x_updaters():
@@ -273,7 +273,7 @@ def test_key_whose_lone_writer_aborts_is_not_written():
     store, _, (result,) = run_chain(blocks)
     assert result.aborted == frozenset({2})
     assert "b" not in result.writes and "b" not in result.applied_order
-    assert store.read("b", 0) is None
+    assert store.reader(0)("b") is None
 
 
 @pytest.mark.parametrize("kind, operand", [("add", 5), ("mul", 3), ("set", -4)])
@@ -310,7 +310,7 @@ def test_hotspot_blind_adders_all_commit_with_update_optim(n):
     blocks = mk_blocks([programs])
     store, _, (result,) = run_chain(blocks)
     assert len(result.committed) == n
-    assert store.read("hot", 0) == n
+    assert store.reader(0)("hot") == n
 
 
 def test_hotspot_blind_adders_single_commit_without_update_optim():
@@ -318,7 +318,7 @@ def test_hotspot_blind_adders_single_commit_without_update_optim():
     blocks = mk_blocks([programs])
     store, _, (result,) = run_chain(blocks, update_optim=False)
     assert len(result.committed) == 1
-    assert store.read("hot", 0) == 1
+    assert store.reader(0)("hot") == 1
 
 
 def test_out_of_order_commit_step_rejected():
@@ -422,8 +422,8 @@ def test_inter_block_rmw_applies_on_previous_block_state():
     b2 = (UpdateStep("x", "add", 1),)
     blocks = mk_blocks([[b0], [b1], [b2]])
     store, _, results = run_chain(blocks, inter_block=True)
-    assert store.read("x", 1) == 15
-    assert store.read("x", 2) == 16
+    assert store.reader(1)("x") == 15
+    assert store.reader(2)("x") == 16
     assert ("x" in results[2].writes)
 
 
@@ -471,7 +471,7 @@ def test_own_read_matches_serial_replay_observation():
     txns = {t.tid: t for t in blocks[1].txns}
     for tid in order:
         def live(key, _overlay=overlay):
-            return _overlay.get(key, store.read(key, 0))
+            return _overlay.get(key, store.reader(0)(key))
         raw, commands = execute_program(tid, txns[tid].steps, live)
         if tid == 1:
             replay_reads = {k: v for k, v, _ in raw}

@@ -99,7 +99,7 @@ def test_serial_equivalence_on_coalesced_hotspot():
     programs = [[seed]] + [[(UpdateStep("hot", "add", 1),) for _ in range(100)]]
     blocks = mk_blocks(programs)
     store, _, results = run_chain(blocks)
-    assert store.read("hot", 1) == 105
+    assert store.reader(1)("hot") == 105
     assert check_block(blocks[1], results[1], store, build_graph(results[1])) == []
 
 

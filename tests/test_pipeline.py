@@ -192,6 +192,7 @@ def test_engine_factory_rejects_invalid_combinations():
     for bad in (
         dict(checkpoint_p=0),
         dict(replicas=0),
+        dict(block_size=0),
         dict(engine="nosuch"),
         dict(engine="serial", update_optim=False),
     ):

@@ -45,8 +45,8 @@ def test_read_returns_latest_version_at_or_below_snapshot():
     store.install_block_writes(3, {"k": 9})
     store.install_block_writes(4, {})
     store.install_block_writes(5, {})
-    assert store.read("k", 5) == 9
-    assert store.read("k", 4) == 9
+    assert store.reader(5)("k") == 9
+    assert store.reader(4)("k") == 9
 
 
 def test_store_holds_the_last_block_and_the_one_before_only():
@@ -55,37 +55,37 @@ def test_store_holds_the_last_block_and_the_one_before_only():
     for block in range(1, 5):
         store.install_block_writes(block, {})
     store.install_block_writes(5, {"a": 3, "new": 4})
-    assert store.read("a", 5) == 3
-    assert store.read("a", 4) == 1  # the before-image
-    assert store.read("new", 5) == 4
-    assert store.read("new", 4) is None  # first written at 5
-    assert store.read("u", 5) == store.read("u", 4) == 2  # not written at 5
-    assert store.read("never-written", 4) is None
+    assert store.reader(5)("a") == 3
+    assert store.reader(4)("a") == 1  # the before-image
+    assert store.reader(5)("new") == 4
+    assert store.reader(4)("new") is None  # first written at 5
+    assert store.reader(5)("u") == store.reader(4)("u") == 2  # not written at 5
+    assert store.reader(4)("never-written") is None
     for outside in (3, 0, 6):
         with pytest.raises(ContractError):
-            store.read("a", outside)
+            store.reader(outside)("a")
 
 
 def test_fresh_store_holds_the_empty_state_at_genesis_and_the_block_before():
     store = SnapshotStore()
-    assert store.read("k", -1) is None
-    assert store.read("k", -2) is None  # inter-block block 0 reads here
+    assert store.reader(-1)("k") is None
+    assert store.reader(-2)("k") is None  # inter-block block 0 reads here
     with pytest.raises(ContractError):
-        store.read("k", -3)
+        store.reader(-3)("k")
 
 
 def test_read_above_materialized_block_is_contract_violation():
     store = SnapshotStore()
     with pytest.raises(ContractError):
-        store.read("k", 0)
+        store.reader(0)("k")
 
 
 def test_install_order_enforced_and_versions_kept():
     store = SnapshotStore()
     store.install_block_writes(0, {})
     store.install_block_writes(1, {"a": 1})
-    assert store.read("a", 0) is None
-    assert store.read("a", 1) == 1
+    assert store.reader(0)("a") is None
+    assert store.reader(1)("a") == 1
     with pytest.raises(ContractError):
         store.install_block_writes(3, {})
 
@@ -141,7 +141,7 @@ def test_incremental_state_hash_equals_rebuilt_hash(seed):
             return {}
         writes = {}
         for key in rng.sample(keys, rng.randint(1, 5)):
-            current = store.read(key, store.last_committed_block)
+            current = store.reader(store.last_committed_block)(key)
             if current is not None and rng.random() < 0.3:
                 writes[key] = current  # rewrite of the same value
             else:
@@ -169,11 +169,11 @@ def test_incremental_state_hash_equals_rebuilt_hash(seed):
 @pytest.mark.parametrize("base_state", [{"a": 1}, {}])
 def test_recovered_store_rejects_reads_below_its_checkpoint(base_state):
     store = SnapshotStore.from_checkpoint(5, base_state, {})
-    assert store.read("a", 5) == base_state.get("a") == store.read("a", 6)
+    assert store.reader(5)("a") == base_state.get("a") == store.reader(6)("a")
     with pytest.raises(ContractError):
-        store.read("a", 3)
+        store.reader(3)("a")
     with pytest.raises(ContractError):
-        store.read("a", 7)
+        store.reader(7)("a")
     assert store.visible_state() == base_state
     assert store.state_hash() == _fresh_hash(base_state, 6)
 
@@ -194,20 +194,13 @@ def test_store_from_checkpoint_answers_like_the_original(seed):
     rebuilt = SnapshotStore.from_checkpoint(base, base_state, writes)
     for block in (base, base + 1):
         for key in [*keys, "never-written"]:
-            assert rebuilt.read(key, block) == original.read(key, block)
+            assert rebuilt.reader(block)(key) == original.reader(block)(key)
     assert rebuilt.visible_state() == original.visible_state()
     assert rebuilt.state_hash() == original.state_hash()
     assert rebuilt.state_hash() == _fresh_hash(rebuilt.visible_state(), base + 1)
     for below in (base - 1, -1):
         with pytest.raises(ContractError):
-            rebuilt.read(keys[0], below)
-
-
-def _answer(store, key, snapshot):
-    try:
-        return store.read(key, snapshot)
-    except ContractError:
-        return ContractError
+            rebuilt.reader(below)(keys[0])
 
 
 def _reader(store, snapshot):
@@ -222,9 +215,8 @@ def _reader(store, snapshot):
 def test_live_and_recovered_stores_answer_and_refuse_the_same_snapshots(seed):
     """A store rebuilt from a checkpoint at any block answers reads at the
     last block and the one before exactly as the live store did there, and
-    refuses the block before those, as the live store does; read(key, s)
-    and reader(s)(key) agree, and reader(s) itself refuses a snapshot that
-    is not held."""
+    refuses the block before those, as the live store does: reader(s)
+    itself refuses a snapshot that is not held."""
     rng = random.Random(seed)
     keys = [f"k{i}" for i in range(20)]
     live = SnapshotStore()
@@ -238,12 +230,9 @@ def test_live_and_recovered_stores_answer_and_refuse_the_same_snapshots(seed):
             held = snapshot != block - 2
             assert (live_reader is not ContractError) == held
             assert (rebuilt_reader is not ContractError) == held
-            for key in [*keys, "never-written"]:
-                expected = _answer(live, key, snapshot)
-                assert _answer(rebuilt, key, snapshot) == expected
-                if held:
-                    assert live_reader(key) == rebuilt_reader(key) == expected
-        assert _answer(live, keys[0], block - 2) is ContractError
+            if held:
+                for key in [*keys, "never-written"]:
+                    assert live_reader(key) == rebuilt_reader(key)
         previous_state = live.visible_state()
 
 
@@ -349,14 +338,15 @@ def test_every_block_keeps_the_encoding_of_its_own_txns(tmp_path):
                 chain.append_block(block)
 
 
-def test_verify_chain_clean_and_roundtrip(tmp_path):
+def test_logged_chain_links_check_and_decode_roundtrip(tmp_path):
+    """Every line a file-backed ChainLog writes passes the link check
+    recover applies, and decodes to the block appended."""
     blocks = _blocks(20)
     path = tmp_path / "chain.log"
     chain = ChainLog(path)
     for block in blocks:
         chain.append_block(block)
     chain.close()
-    assert chain.verify_chain() is None
     lines = _read_log(path)
     prev_hash = GENESIS_PREV_HASH
     for position, line in enumerate(lines):
@@ -416,6 +406,45 @@ def test_replica_refuses_a_data_directory_whose_chain_log_holds_blocks(tmp_path)
     empty.mkdir()
     (empty / "chain.log").touch()  # an empty log holds no blocks
     Replica(0, RunConfig(replicas=1), data_dir=empty).close()
+
+
+def _three_block_log(path: Path) -> list[Block]:
+    blocks = _blocks(3)
+    chain = ChainLog(path)
+    for block in blocks:
+        chain.append_block(block)
+    chain.close()
+    return blocks
+
+
+def test_chain_log_refuses_a_used_file_and_leaves_it_as_it_was(tmp_path):
+    """A ChainLog starts at block 0, so a file that already holds bytes is
+    refused and not written; an empty file is a log with no blocks."""
+    path = tmp_path / "chain.log"
+    blocks = _three_block_log(path)
+    before = path.read_bytes()
+    with pytest.raises(ContractError, match="already holds blocks; storage.recover reads them"):
+        ChainLog(path)
+    assert path.read_bytes() == before
+
+    empty = tmp_path / "empty.log"
+    empty.touch()
+    chain = ChainLog(empty)
+    chain.append_block(blocks[0])
+    chain.close()
+    assert [line.decode() for line in _read_log(empty)] == blocks[:1]
+
+
+def test_recover_refuses_a_line_whose_block_id_is_not_its_position(tmp_path):
+    """Blocks 0-2 and then block 0 again, as an append of block 0 to a used
+    log would leave them (written as text, since ChainLog refuses that)."""
+    path = tmp_path / "chain.log"
+    _three_block_log(path)
+    first = path.read_text().splitlines()[0]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(first + "\n")
+    with pytest.raises(RecoveryError, match="expected block 3, found block 0"):
+        recover(tmp_path, _harmony_builder)
 
 
 def test_recover_falls_back_when_checkpoint_interrupted(tmp_path):
@@ -838,7 +867,7 @@ def test_delta_lists_changed_keys_in_first_write_order(tmp_path):
     body = _body(tmp_path, 6)
     assert body["base"][0] == 3
     assert list(body["base_state"]) == ["k01500", "k00003", "k00700", "k00001", "k00002"]
-    assert body["base_state"] == {key: store.read(key, 5) for key in body["base_state"]}
+    assert body["base_state"] == {key: store.reader(5)(key) for key in body["base_state"]}
     assert body["last_writes"] == {"k00004": 10}
     text = (tmp_path / "checkpoint_00000006.json").read_text()
     assert text.index('"k01500"') < text.index('"k00003"') < text.index('"k00001"')

@@ -55,11 +55,12 @@ def test_zipf_supports_full_skew():
     assert counts[0] > counts.get(500, 0)
 
 
-def test_zipf_rejects_bad_parameters():
-    with pytest.raises(ContractError):
-        ZipfSampler(0, 0.5, random.Random(0))
-    with pytest.raises(ContractError):
-        ZipfSampler(10, 1.5, random.Random(0))
+def test_workload_spec_rejects_bad_parameters():
+    with pytest.raises(ContractError, match="key count must be positive"):
+        WorkloadSpec(kind="ycsb", keys=0)
+    for theta in (-0.1, 1.5):
+        with pytest.raises(ContractError, match=r"theta must lie in \[0, 1\]"):
+            WorkloadSpec(kind="ycsb", theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ def test_deposit_checking_adds_amount():
     engine = SerialEngine(store)
     for block in blocks:
         engine.process_block(block)
-    assert store.read("c:00003", 1) == 15
+    assert store.reader(1)("c:00003") == 15
 
 
 def test_send_payment_guard_blocks_insufficient_funds():
@@ -192,8 +193,8 @@ def test_write_check_penalty_branches():
 def test_generate_dispatch_and_unknown_kind():
     spec = WorkloadSpec(kind="ycsb", keys=10, seed=1)
     assert generate(spec, 3) == gen_ycsb(spec, 3)
-    with pytest.raises(ContractError):
-        generate(WorkloadSpec(kind="tpcc"), 1)
+    with pytest.raises(ContractError, match="unknown workload kind 'tpcc'"):
+        WorkloadSpec(kind="tpcc")
 
 
 def test_streams_identical_across_generator_instances():
