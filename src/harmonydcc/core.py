@@ -113,7 +113,6 @@ def reads_input(cmd: Command) -> bool:
 
 class ReadRecord(NamedTuple):
     key: Key
-    snapshot_block: BlockId
     observed: Value
     own_read: bool  # served from the transaction's own pending commands
 

@@ -109,13 +109,13 @@ class BlockExecution:
 @dataclass(slots=True, eq=False)  # eq is Mapping's, which compares records
 class BlockReads(Mapping):
     """A block's reads per TID as ReadRecord tuples, read-only, built afresh
-    on each access from BlockExecution.reads; cached, they would be tracked."""
+    on each access from BlockExecution.reads; cached, they would be tracked.
+    The snapshot the block read is BlockResult.snapshot, not a record field."""
 
     raw: dict[Tid, tuple[tuple, ...]]
-    snapshot: BlockId
 
     def __getitem__(self, tid: Tid) -> tuple[ReadRecord, ...]:
-        return tuple(ReadRecord(k, self.snapshot, v, own) for k, v, own in self.raw[tid])
+        return tuple(map(ReadRecord._make, self.raw[tid]))
 
     def __iter__(self):
         return iter(self.raw)
@@ -304,7 +304,7 @@ class HarmonyEngine:
             writes=writes,
             applied_order=applied_order,
             structure_hits=exec_.structure_hits,
-            reads=BlockReads(exec_.reads, snapshot),
+            reads=BlockReads(exec_.reads),
             commands=exec_.commands,
             handler_calls=exec_.handler_calls,
         )

@@ -121,9 +121,8 @@ def check_block(
 def check_serial_block(block: Block, result: BlockResult, store: SnapshotStore) -> list[str]:
     """check_block for a serial engine, whose reads see lower TIDs' writes, not
     a snapshot: a TID-order replay must give every recorded read and write."""
-    snapshot = block.id - 1
-    executed, overlay = run_serially(block.txns, store.reader(snapshot))
-    replayed = BlockReads({tid: tuple(reads) for tid, (reads, _) in executed.items()}, snapshot)
+    executed, overlay = run_serially(block.txns, store.reader(block.id - 1))
+    replayed = BlockReads({tid: tuple(reads) for tid, (reads, _) in executed.items()})
     if replayed != result.reads or overlay != result.writes:
         return [f"block {block.id}: a serial replay reads or writes other values"]
     return []

@@ -57,22 +57,16 @@ def make_blocks(programs: Sequence[Program], block_size: int) -> list[Block]:
     return blocks
 
 
-class SimulatedNetwork:
+def delivery_times(seed: int, delay_max: float, replica_id: int, n_blocks: int) -> list[float]:
     """Per-replica uniform(0, delay_max) delivery delays over a FIFO channel:
     delays never reorder blocks for a replica, they only bunch them up."""
-
-    def __init__(self, seed: int, delay_max: float = 0.0):
-        self.seed = seed
-        self.delay_max = delay_max
-
-    def delivery_times(self, replica_id: int, n_blocks: int) -> list[float]:
-        rng = random.Random(f"{self.seed}:net:{replica_id}")
-        times: list[float] = []
-        latest = 0.0
-        for _ in range(n_blocks):
-            latest = max(latest, rng.uniform(0.0, self.delay_max))
-            times.append(latest)
-        return times
+    rng = random.Random(f"{seed}:net:{replica_id}")
+    times: list[float] = []
+    latest = 0.0
+    for _ in range(n_blocks):
+        latest = max(latest, rng.uniform(0.0, delay_max))
+        times.append(latest)
+    return times
 
 
 @dataclass
@@ -87,15 +81,12 @@ class RunConfig:
     engine: str = "harmony"
     inter_block: bool = False
     update_optim: bool = True
-    checkpoint_p: int = 10
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ContractError("replica count must be positive")
         if self.block_size < 1:
             raise ContractError("block size must be positive")
-        if self.checkpoint_p < 1:
-            raise ContractError("checkpoint period must be positive")
         if self.engine not in ENGINE_KINDS:
             raise ContractError(f"unknown engine {self.engine!r}")
         if self.engine != "harmony" and (self.inter_block or not self.update_optim):
@@ -128,9 +119,7 @@ class Replica:
         self.id = replica_id
         self.store = SnapshotStore()
         self.chain = ChainLog(data_dir / CHAIN_FILE if data_dir else None)
-        self.checkpoints = (
-            CheckpointManager(data_dir, config.checkpoint_p) if data_dir else None
-        )
+        self.checkpoints = CheckpointManager(data_dir) if data_dir else None
         self.engine = build_engine(config.engine, self.store, config)
         self.halted = False
         self.state_hashes: list[str] = []
@@ -176,14 +165,14 @@ def run_replicas(blocks: Sequence[Block], config: RunConfig) -> RunOutcome:
     blocks in id order no matter how the delays fall, and the replicas run
     one after another: the delays move only the event clock.
     """
-    net = SimulatedNetwork(config.seed, config.delay_max)
     replicas = []
     makespans = []
     for rid in range(config.replicas):
         replica = Replica(rid, config)
         replicas.append(replica)
         commit_end: dict[int, float] = {}
-        for at, block in zip(net.delivery_times(rid, len(blocks)), blocks):
+        times = delivery_times(config.seed, config.delay_max, rid, len(blocks))
+        for at, block in zip(times, blocks):
             result = replica.receive(block)
             if result is None:
                 continue

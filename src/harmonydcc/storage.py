@@ -486,9 +486,11 @@ def load_latest_checkpoint(directory: str | Path) -> Optional[Checkpoint]:
 @dataclass
 class RecoveredReplica:
     store: SnapshotStore
-    engine: object
-    last_block: BlockId
     state_hashes: dict[BlockId, str] = field(default_factory=dict)
+
+    @property
+    def last_block(self) -> BlockId:
+        return self.store.last_committed_block
 
 
 def recover(
@@ -536,11 +538,8 @@ def recover(
         store = SnapshotStore()
         engine_state = None
     engine = build_engine(store, engine_state)
-    recovered = RecoveredReplica(
-        store=store, engine=engine, last_block=store.last_committed_block
-    )
+    recovered = RecoveredReplica(store)
     for line in lines[store.last_committed_block + 1 :]:
         engine.process_block(line.decode())
         recovered.state_hashes[line.id] = store.state_hash()
-    recovered.last_block = store.last_committed_block
     return recovered

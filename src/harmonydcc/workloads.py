@@ -17,6 +17,7 @@ Program = tuple[Step, ...]
 
 WORKLOAD_KINDS = ("ycsb", "smallbank", "hotspot")
 READ_RATIO = 0.5  # share of non-hotspot ycsb operations that are reads
+HOTSPOT_FRACTION = 0.01  # share of the ranks, at least one, that are hotspot keys
 
 
 class ZipfSampler:
@@ -49,7 +50,6 @@ class WorkloadSpec:
     keys: int = 10_000
     ops_per_txn: int = 10
     theta: float = 0.0
-    hotspot_fraction: float = 0.01
     hotspot_prob: float = 0.0
     seed: int = 0
 
@@ -60,6 +60,10 @@ class WorkloadSpec:
             raise ContractError("key count must be positive")
         if not 0.0 <= self.theta <= 1.0:
             raise ContractError("theta must lie in [0, 1]")
+        if not 0.0 <= self.hotspot_prob <= 1.0:
+            raise ContractError("hotspot probability must lie in [0, 1]")
+        if self.ops_per_txn < 1:
+            raise ContractError("operations per transaction must be positive")
 
 
 def _key(rank: int) -> str:
@@ -88,7 +92,7 @@ def gen_ycsb(spec: WorkloadSpec, count: int) -> list[Program]:
     ops_per_txn operations per transaction.
 
     For kind "hotspot", each operation instead targets, with probability
-    hotspot_prob, one of the hotspot keys: the lowest hotspot_fraction of
+    hotspot_prob, one of the hotspot keys: the lowest HOTSPOT_FRACTION of
     the ranks, which are also the hottest under skew. A hotspot
     read-modify-write is emitted as a single add command (the fused form),
     so it induces no read dependency. Other kinds ignore hotspot_prob, and
@@ -97,7 +101,7 @@ def gen_ycsb(spec: WorkloadSpec, count: int) -> list[Program]:
     rng = random.Random(spec.seed)
     zipf = ZipfSampler(spec.keys, spec.theta, rng)
     hot_prob = spec.hotspot_prob if spec.kind == "hotspot" else 0.0
-    hot_count = max(1, round(spec.keys * spec.hotspot_fraction))
+    hot_count = max(1, round(spec.keys * HOTSPOT_FRACTION))
     s = _Shared()
     programs = []
     for _ in range(count):

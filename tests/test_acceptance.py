@@ -342,7 +342,6 @@ def test_criterion_09_hotspot_resiliency():
             theta=0.0,
             seed=SEED,
             hotspot_prob=prob,
-            hotspot_fraction=0.01,
         )
         blocks = make_blocks(generate(spec, 2000), 25)
         for engine, bucket in (("harmony", harmony_rates), ("aria", aria_rates)):
@@ -417,7 +416,7 @@ def test_criterion_11_recovery_and_tamper_detection(tmp_path):
         blocks = make_blocks(generate(spec, n_blocks * 5), 5)
         trial_dir = tmp_path / f"trial{trial}"
         trial_dir.mkdir()
-        config = RunConfig(replicas=1, engine="harmony", checkpoint_p=10, seed=0)
+        config = RunConfig(replicas=1, engine="harmony", seed=0)
         replica = Replica(0, config, data_dir=trial_dir)
         for block in blocks:
             replica.receive(block)

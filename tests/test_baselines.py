@@ -153,8 +153,8 @@ def test_baselines_simulate_through_the_engine_path():
     blocks = mk_blocks([[seed], [t1, t2, t3]])
     _, (_, harmony) = run_with(HarmonyEngine, blocks)
     implied = {
-        1: (ReadRecord("a", 0, 1, False),),
-        2: (ReadRecord("b", 0, 2, False), ReadRecord("e", 0, 5, False)),
+        1: (ReadRecord("a", 1, False),),
+        2: (ReadRecord("b", 2, False), ReadRecord("e", 5, False)),
         3: (),
     }
     assert harmony.structure_hits == frozenset({2})
@@ -229,8 +229,7 @@ def test_single_hot_key_aria_abort_bound():
         keys=100,
         ops_per_txn=4,
         seed=3,
-        hotspot_prob=1.0,
-        hotspot_fraction=0.001,  # rounds up to a single hot key
+        hotspot_prob=1.0,  # 1 % of 100 keys: a single hot key
     )
     blocks = make_blocks(generate(spec, 100), 25)
     outcome = run_replicas(blocks, RunConfig(replicas=1, engine="aria", seed=0))

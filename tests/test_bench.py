@@ -303,8 +303,10 @@ def test_replica_count_below_one_is_a_usage_error(capsys, replicas):
         (["--block-size", "25", "0"], "block size must be positive"),
         (["--theta", "0.5", "1.5"], "theta must lie in [0, 1]"),
         (["--keys", "0"], "key count must be positive"),
+        (["--hotspot-prob", "1.5"], "hotspot probability must lie in [0, 1]"),
+        (["--hotspot-prob", "-1"], "hotspot probability must lie in [0, 1]"),
     ],
-    ids=["block-size", "theta", "keys"],
+    ids=["block-size", "theta", "keys", "hotspot-prob-above-1", "hotspot-prob-negative"],
 )
 def test_a_bad_grid_value_is_rejected_before_any_point_runs(
     monkeypatch, capsys, flags, message

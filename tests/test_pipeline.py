@@ -11,8 +11,8 @@ from harmonydcc.core import (
 from harmonydcc.pipeline import (
     Replica,
     RunConfig,
-    SimulatedNetwork,
     build_engine,
+    delivery_times,
     make_blocks,
     run_replicas,
 )
@@ -67,12 +67,11 @@ def test_chain_links_are_sealed_by_the_sequencer():
 
 
 def test_network_is_fifo_and_deterministic():
-    net = SimulatedNetwork(seed=7, delay_max=2.0)
-    times_a = net.delivery_times(0, 50)
-    times_b = net.delivery_times(0, 50)
+    times_a = delivery_times(7, 2.0, 0, 50)
+    times_b = delivery_times(7, 2.0, 0, 50)
     assert times_a == times_b
     assert all(t1 <= t2 for t1, t2 in zip(times_a, times_a[1:]))
-    assert net.delivery_times(1, 50) != times_a  # per-replica streams differ
+    assert delivery_times(7, 2.0, 1, 50) != times_a  # per-replica streams differ
 
 
 def test_zero_delay_replicas_agree():
@@ -190,7 +189,6 @@ def test_engine_factory_rejects_invalid_combinations():
     with pytest.raises(ContractError):
         build_engine("nosuch", store, RunConfig())
     for bad in (
-        dict(checkpoint_p=0),
         dict(replicas=0),
         dict(block_size=0),
         dict(engine="nosuch"),

@@ -363,8 +363,9 @@ def _run_replica(tmp_path: Path, n_blocks: int, p: int = 10, seed: int = 5):
     spec = WorkloadSpec(kind="ycsb", keys=40, ops_per_txn=4, theta=0.4, seed=seed)
     programs = generate(spec, n_blocks * 5)
     blocks = make_blocks(programs, 5)
-    config = RunConfig(replicas=1, engine="harmony", checkpoint_p=p, seed=seed)
+    config = RunConfig(replicas=1, engine="harmony", seed=seed)
     replica = Replica(0, config, data_dir=tmp_path)
+    replica.checkpoints = CheckpointManager(tmp_path, p)
     for block in blocks:
         replica.receive(block)
     replica.close()
@@ -515,7 +516,7 @@ def test_recover_rejects_corrupt_log_line(tmp_path):
 def _one_add_per_block_log(tmp_path: Path) -> list[str]:
     """14 blocks of one `add k<i> i+1` each, checkpoint at block 10."""
     programs = [(UpdateStep(f"k{i}", "add", i + 1),) for i in range(14)]
-    replica = Replica(0, RunConfig(replicas=1, checkpoint_p=10), data_dir=tmp_path)
+    replica = Replica(0, RunConfig(replicas=1), data_dir=tmp_path)
     for block in make_blocks(programs, 1):
         replica.receive(block)
     replica.close()
@@ -679,6 +680,12 @@ def test_recover_without_checkpoint_decodes_every_block(tmp_path, monkeypatch):
     recover(tmp_path, _harmony_builder)
     assert sorted(set(decoded)) == list(range(6))
     assert len(decoded) == 6 * 5
+
+
+@pytest.mark.parametrize("p", [0, -1])
+def test_checkpoint_period_below_one_is_refused(tmp_path, p):
+    with pytest.raises(ContractError, match="checkpoint period must be positive"):
+        CheckpointManager(tmp_path, p)
 
 
 def test_checkpoint_preserves_previous_files(tmp_path):
@@ -882,8 +889,9 @@ def _delta_replica(
     preload = tuple(UpdateStep(f"k{i:05d}", "set", i) for i in range(keys))
     spec = WorkloadSpec(kind="ycsb", keys=keys, ops_per_txn=4, theta=0.6, seed=seed)
     blocks = make_blocks([preload] + generate(spec, n_blocks * 5 - 1), 5)
-    config = RunConfig(replicas=1, checkpoint_p=p, inter_block=inter_block)
+    config = RunConfig(replicas=1, inter_block=inter_block)
     replica = Replica(0, config, data_dir=directory)
+    replica.checkpoints = CheckpointManager(directory, p)
     for block in blocks:
         replica.receive(block)
     replica.close()

@@ -61,6 +61,11 @@ def test_workload_spec_rejects_bad_parameters():
     for theta in (-0.1, 1.5):
         with pytest.raises(ContractError, match=r"theta must lie in \[0, 1\]"):
             WorkloadSpec(kind="ycsb", theta=theta)
+    for prob in (-1.0, 1.5):
+        with pytest.raises(ContractError, match=r"hotspot probability must lie in \[0, 1\]"):
+            WorkloadSpec(kind="hotspot", hotspot_prob=prob)
+    with pytest.raises(ContractError, match="operations per transaction must be positive"):
+        WorkloadSpec(kind="ycsb", ops_per_txn=0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +96,15 @@ def test_hotspot_prob_zero_degenerates_to_ycsb():
     assert generate(dataclasses.replace(ycsb, hotspot_prob=0.5), 40) == generate(ycsb, 40)
 
 
+def test_hotspot_keys_stay_inside_the_key_space():
+    for keys in range(1, 21):
+        spec = WorkloadSpec(kind="hotspot", keys=keys, seed=keys, hotspot_prob=1.0)
+        named = {step.key for program in generate(spec, 20) for step in program}
+        assert named <= {f"k{r:05d}" for r in range(keys)}
+
+
 def test_hotspot_prob_one_emits_only_fused_updates():
-    spec = WorkloadSpec(
-        kind="hotspot", keys=1000, seed=7, hotspot_prob=1.0, hotspot_fraction=0.01
-    )
+    spec = WorkloadSpec(kind="hotspot", keys=1000, seed=7, hotspot_prob=1.0)
     programs = generate(spec, 30)
     hot_keys = {f"k{r:05d}" for r in range(10)}
     for program in programs:
