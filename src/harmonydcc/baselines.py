@@ -45,13 +45,12 @@ class _SnapshotBaseline(HarmonyEngine):
         exec_ = super().simulate(block, snapshot)
         read = self.store.reader(snapshot)
         for tid, commands in exec_.commands.items():
-            read_keys = {key for key, _, _ in exec_.reads[tid]}
-            implied = tuple(
-                (key, read(key), False)
-                for key, command in commands.items()
-                if reads_input(command) and key not in read_keys
-            )
-            exec_.reads[tid] += implied
+            read_keys = set(exec_.reads[tid][::3])
+            implied: list = []
+            for key, command in commands.items():
+                if reads_input(command) and key not in read_keys:
+                    implied += key, read(key), False
+            exec_.reads[tid] += tuple(implied)
         return exec_
 
     def restore_state(self, state: Optional[dict]) -> None:
@@ -69,7 +68,7 @@ class FabricEngine(_SnapshotBaseline):
         committed_writes: set[Key] = set()
         for txn in exec_.block.txns:
             tid = txn.tid
-            if any(key in committed_writes for key, _, _ in exec_.reads[tid]):
+            if any(key in committed_writes for key in exec_.reads[tid][::3]):
                 aborted.add(tid)
                 continue
             committed_writes.update(exec_.commands[tid])
@@ -96,7 +95,7 @@ class AriaEngine(_SnapshotBaseline):
                 continue
             stale = any(
                 w < tid and w not in ww_losers
-                for key, _, _ in exec_.reads[tid]
+                for key in exec_.reads[tid][::3]
                 for w in exec_.writers_of.get(key, ())
             )
             if not stale:

@@ -2,13 +2,13 @@
 
 Transactions are small interpreted programs (read steps, guarded branch
 steps, update steps) rather than host-language closures, so blocks can be
-serialized, hashed, logged, and replayed bit-exactly. Update steps emit
-read-modify-write commands (add / mul / set) instead of computed values;
-commands compose left-to-right and are evaluated once, at commit time.
-Commands, reads and command chains stay exact (kind, operand, issuer),
-(key, observed, own) and (parts,) tuples, which the cyclic collector
-untracks, so it does not walk those a kept BlockResult holds; ReadRecords
-are built from reads on access.
+serialized, hashed, logged, and replayed bit-exactly. An update step is
+itself a read-modify-write command (add / mul / set) rather than a computed
+value; commands compose left-to-right into (parts,) chains of steps and are
+evaluated once, at commit time. A transaction's command is the program's
+own step object, so interpreting one allocates no command, and its reads
+are one flat (key, observed, own, key, observed, own, ...) sequence, from
+which ReadRecords are built on access.
 
 All values are signed 64-bit integers. A key that was never written reads
 as absent (None); arithmetic commands treat absent as 0.
@@ -50,12 +50,6 @@ class ContractError(RuntimeError):
     """A caller violated an operation precondition."""
 
 
-UpdateCommand = tuple[str, int, Tid]  # (ADD | MUL | SET, operand, issuer)
-# A left-to-right composition of primitive commands is the exact 1-tuple
-# (parts,), told from a primitive by its length.
-Command = Union[UpdateCommand, tuple[tuple[UpdateCommand, ...]]]
-
-
 def _check64(value: int) -> int:
     if value < INT64_MIN or value > INT64_MAX:
         raise UpdateOverflowError(f"value {value} outside signed 64-bit range")
@@ -70,7 +64,7 @@ def apply_command(cmd: Command, value: Value) -> int:
         for part in cmd[0]:
             out = apply_command(part, out)
         return out  # chain is non-empty by construction
-    kind, operand, _ = cmd
+    _, kind, operand = cmd
     if kind == ADD:
         return _check64((value or 0) + operand)
     if kind == MUL:
@@ -87,7 +81,7 @@ def compose(commands) -> Command:
     operation is associative, so per-transaction pre-coalescing and
     commit-time coalescing can nest freely.
     """
-    parts: list[UpdateCommand] = []
+    parts: list[UpdateStep] = []
     for cmd in commands:
         if len(cmd) == 1:
             parts.extend(cmd[0])
@@ -107,8 +101,8 @@ def reads_input(cmd: Command) -> bool:
     so such chains behave as blind writes.
     """
     if len(cmd) == 1:
-        return all(p[0] != SET for p in cmd[0])
-    return cmd[0] != SET
+        return all(p[1] != SET for p in cmd[0])
+    return cmd[1] != SET
 
 
 class ReadRecord(NamedTuple):
@@ -126,9 +120,16 @@ class ReadStep(NamedTuple):
 
 
 class UpdateStep(NamedTuple):
+    """An update step, which is also the primitive command it emits."""
+
     key: Key
-    kind: str
+    kind: str  # ADD | MUL | SET
     operand: int
+
+
+# A left-to-right composition of primitive commands is the exact 1-tuple
+# (parts,), told from a primitive by its length.
+Command = Union[UpdateStep, tuple[tuple[UpdateStep, ...]]]
 
 
 class BranchStep(NamedTuple):
@@ -157,18 +158,19 @@ def execute_program(
     tid: Tid,
     steps: tuple[Step, ...],
     read_value: Callable[[Key], Value],
-) -> tuple[list[tuple[Key, Value, bool]], dict[Key, Command]]:
+) -> tuple[list, dict[Key, Command]]:
     """Interpret a program against a read callback.
 
-    Returns (reads, commands) where reads are (key, observed, own_read)
-    triples in program order and commands hold one pre-coalesced command
-    per updated key, in first-update order.
+    Returns (reads, commands) where reads is one flat list holding a
+    key, observed, own_read triple per read, in program order, and commands
+    hold one pre-coalesced command per updated key, in first-update order:
+    the program's own UpdateStep, or a chain of them.
 
     A read of a key the transaction already updated is served by evaluating
     its own command chain on the underlying value, and is still recorded so
     dependencies against other writers of that key are captured.
     """
-    reads: list[tuple[Key, Value, bool]] = []
+    reads: list = []
     commands: dict[Key, Command] = {}
     last_read: dict[Key, Value] = {}
     remaining = iter(steps)
@@ -181,13 +183,12 @@ def execute_program(
             own = prev is not None
             if own:
                 value = apply_command(prev, value)
-            reads.append((key, value, own))
+            reads += key, value, own
             last_read[key] = value
         elif kind is UpdateStep:
-            key, command_kind, operand = step
-            cmd = (command_kind, operand, tid)
+            key = step[0]
             prev = commands.get(key)
-            commands[key] = cmd if prev is None else compose((prev, cmd))
+            commands[key] = step if prev is None else compose((prev, step))
         elif kind is BranchStep:
             key, cmp, operand, skip = step
             if key not in last_read:
@@ -211,9 +212,9 @@ def run_serially(
     txns, read_value: Callable[[Key], Value]
 ) -> tuple[dict[Tid, tuple[list, dict[Key, Command]]], dict[Key, int]]:
     """Execute transactions one after another, each reading the writes of
-    those before it over read_value. Returns each transaction's reads and
-    commands, as execute_program reports them, and every written key's
-    final value."""
+    those before it over read_value. Returns each transaction's flat reads
+    and its commands, as execute_program reports them, and every written
+    key's final value."""
     overlay: dict[Key, int] = {}
 
     def live_read(key: Key) -> Value:

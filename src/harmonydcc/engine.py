@@ -3,11 +3,12 @@
 Each block is processed in three steps. The simulation step runs every
 transaction against the same block snapshot, recording its reads and its
 pre-coalesced update command per key, and indexes the block's readers and
-writers of every key as it goes; reads stay the interpreter's exact tuples,
-and a result builds ReadRecords only on access. The abort rule, `abort_set`,
-is the one step each engine kind defines for itself: harmony's resolves
-read/write dependencies and aborts transactions caught in the dangerous
-read-dependency pattern. The commit step, shared by every kind, orders the
+writers of every key as it goes; a transaction's reads stay one flat tuple
+of (key, observed, own) triples, and a result builds ReadRecords only on
+access. The abort rule, `abort_set`, is the one step each engine kind
+defines for itself: harmony's resolves read/write dependencies and aborts
+transactions caught in the dangerous read-dependency pattern. The commit
+step, shared by every kind, orders the
 surviving update commands per key, by ascending min_out (ties by TID) with
 update reordering on and by TID with it off, coalesces them, and installs
 the block's writes. The baselines override only `abort_set` and run with
@@ -92,9 +93,11 @@ def resolve_rw_states(
 @dataclass
 class BlockExecution:
     block: Block
-    # per transaction, execute_program's exact (key, observed, own) read tuples
-    reads: dict[Tid, tuple[tuple, ...]] = field(default_factory=dict)
-    # per transaction, its pre-coalesced command per key, in first-update order
+    # per transaction, one flat (key, observed, own, key, observed, own, ...)
+    # tuple of its reads, in program order
+    reads: dict[Tid, tuple] = field(default_factory=dict)
+    # per transaction, its pre-coalesced command per key, in first-update
+    # order: the program's own UpdateStep, or a (parts,) chain of them
     commands: dict[Tid, dict[Key, Command]] = field(default_factory=dict)
     # per key, the TIDs that read it / wrote it, ascending and without repeats
     readers_of: dict[Key, list[Tid]] = field(default_factory=dict)
@@ -109,13 +112,15 @@ class BlockExecution:
 @dataclass(slots=True, eq=False)  # eq is Mapping's, which compares records
 class BlockReads(Mapping):
     """A block's reads per TID as ReadRecord tuples, read-only, built afresh
-    on each access from BlockExecution.reads; cached, they would be tracked.
-    The snapshot the block read is BlockResult.snapshot, not a record field."""
+    on each access from BlockExecution.reads' flat tuples, one record per
+    three items; nothing per read is kept. The snapshot the block read is
+    BlockResult.snapshot, not a record field."""
 
-    raw: dict[Tid, tuple[tuple, ...]]
+    raw: dict[Tid, tuple]
 
     def __getitem__(self, tid: Tid) -> tuple[ReadRecord, ...]:
-        return tuple(map(ReadRecord._make, self.raw[tid]))
+        raw = self.raw[tid]
+        return tuple(map(ReadRecord, raw[::3], raw[1::3], raw[2::3]))
 
     def __iter__(self):
         return iter(self.raw)
@@ -179,7 +184,7 @@ class HarmonyEngine:
         for txn in block.txns:
             tid = txn.tid
             raw_reads, commands = execute_program(tid, txn.steps, read)
-            for key, _, _ in raw_reads:
+            for key in raw_reads[::3]:
                 readers = readers_of.get(key)
                 if readers is None:
                     readers_of[key] = [tid]
@@ -221,7 +226,7 @@ class HarmonyEngine:
         for tid, out in exec_.min_out.items():
             behind_committed_writer = False
             if prev is not None:
-                for key, _, _ in exec_.reads[tid]:
+                for key in exec_.reads[tid][::3]:
                     for w in prev.writers_of.get(key, ()):
                         if w < out:
                             out = w
@@ -321,7 +326,7 @@ class HarmonyEngine:
             if exec_.min_out[tid] < tid:
                 reaches.add(tid)
             elif prev is not None and any(
-                key in prev.writers_of for key, _, _ in exec_.reads[tid]
+                key in prev.writers_of for key in exec_.reads[tid][::3]
             ):
                 reaches.add(tid)
         return _Carryover(

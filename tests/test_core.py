@@ -1,4 +1,5 @@
 import gc
+import operator
 import random
 
 import pytest
@@ -22,16 +23,16 @@ from harmonydcc.core import (
 )
 
 
-def add(c, issuer=0):
-    return ("add", c, issuer)
+def add(c):
+    return UpdateStep("x", "add", c)
 
 
-def mul(c, issuer=0):
-    return ("mul", c, issuer)
+def mul(c):
+    return UpdateStep("x", "mul", c)
 
 
-def set_(v, issuer=0):
-    return ("set", v, issuer)
+def set_(v):
+    return UpdateStep("x", "set", v)
 
 
 def test_apply_command_examples():
@@ -82,7 +83,7 @@ def test_compose_equals_sequential_fold():
     for _ in range(300):
         n = rng.randint(1, 8)
         cmds = [
-            (rng.choice(kinds), rng.randint(-100, 100), 0)
+            UpdateStep("x", rng.choice(kinds), rng.randint(-100, 100))
             for _ in range(n)
         ]
         start = rng.randint(-100, 100)
@@ -101,11 +102,10 @@ def test_reads_input():
     assert reads_input(compose([add(1), mul(2)]))
 
 
-def test_kept_block_results_hold_no_commands_the_collector_tracks():
-    """A primitive command is an exact tuple of a str and two ints, and a
-    chain the exact 1-tuple of its primitives; the cyclic collector untracks
-    both, so the commands of the BlockResults a replica keeps add nothing to
-    what every full collection walks."""
+def test_kept_block_results_hold_the_blocks_own_steps_as_commands():
+    """A primitive command is the program's own UpdateStep object and a
+    chain the exact 1-tuple of them, so processing a block allocates no
+    primitive command."""
     from harmonydcc.engine import HarmonyEngine
     from harmonydcc.storage import SnapshotStore
 
@@ -118,18 +118,13 @@ def test_kept_block_results_hold_no_commands_the_collector_tracks():
     txns = [Transaction(tid, 0, steps) for tid, steps in enumerate(programs)]
     block = seal_block(0, txns, core.GENESIS_PREV_HASH)
     result = HarmonyEngine(SnapshotStore()).process_block(block)
-    # a collection untracks a tuple only once its items are untracked: the
-    # primitives go in the first, a chain's parts in the second, the chain
-    # in the third
-    for _ in range(3):
-        gc.collect()
     commands = [cmd for by_key in result.commands.values() for cmd in by_key.values()]
     chains = [cmd for cmd in commands if len(cmd) == 1]
     primitives = [part for cmd in commands for part in (cmd[0] if len(cmd) == 1 else (cmd,))]
-    assert len(chains) == 1 and len(primitives) == 6
-    tuples = [chains[0], chains[0][0], *primitives]
-    assert all(type(t) is tuple for t in tuples)
-    assert not any(gc.is_tracked(t) for t in tuples)
+    steps = [step for txn in block.txns for step in txn.steps if type(step) is UpdateStep]
+    assert len(chains) == 1 and type(chains[0]) is tuple and type(chains[0][0]) is tuple
+    assert len(primitives) == len(steps) == 6
+    assert all(map(operator.is_, primitives, steps))
 
 
 def _reachable_tuples(root):
@@ -147,15 +142,15 @@ def _reachable_tuples(root):
     return found
 
 
-@pytest.mark.parametrize(
-    "engine, inter_block",
-    [("harmony", False), ("harmony", True), ("fabric", False), ("aria", False), ("serial", False)],
-)
+ENGINES = [("harmony", False), ("harmony", True), ("fabric", False), ("aria", False), ("serial", False)]
+
+
+@pytest.mark.parametrize("engine, inter_block", ENGINES)
 def test_kept_block_results_hold_no_reads_the_collector_tracks(engine, inter_block):
-    """A kept BlockResult holds its reads as the interpreter's exact
-    (key, observed, own) tuples, which the cyclic collector untracks, so
-    they add nothing to what every full collection walks; ReadRecords exist
-    only while someone reads them."""
+    """A kept BlockResult holds each transaction's reads as one flat tuple
+    of keys, values and flags, which the cyclic collector untracks, so they
+    add nothing to what every full collection walks; ReadRecords exist only
+    while someone reads them."""
     from harmonydcc.pipeline import RunConfig, make_blocks, run_replicas
     from harmonydcc.workloads import WorkloadSpec, generate
 
@@ -163,15 +158,36 @@ def test_kept_block_results_hold_no_reads_the_collector_tracks(engine, inter_blo
     blocks = make_blocks(generate(spec, 120), 10)
     config = RunConfig(replicas=1, engine=engine, inter_block=inter_block)
     results = run_replicas(blocks, config).results[0]
-    # a collection untracks a tuple whose items it has already untracked, and
-    # its traversal may reach a per-TID tuple before that tuple's reads
-    gc.collect()
     gc.collect()
     held = [obj for result in results for obj in _reachable_tuples(result.reads)]
+    per_tid = [raw for result in results for raw in result.reads.raw.values()]
     reads = sum(len(records) for result in results for records in result.reads.values())
     assert reads > 150
-    assert len(held) > reads  # a tuple per read, and the per-TID tuples
+    assert {id(obj) for obj in held} == {id(raw) for raw in per_tid}  # no tuple per read
     assert [obj for obj in held if gc.is_tracked(obj)] == []
+
+
+@pytest.mark.parametrize("engine, inter_block", ENGINES)
+def test_a_kept_result_allocates_per_transaction_not_per_step(engine, inter_block):
+    """What a kept result of one YCSB block reaches: at most one tuple per
+    transaction for its reads, and no command tuple but the block's own
+    UpdateSteps and (parts,) chains of them."""
+    from harmonydcc.pipeline import RunConfig, make_blocks, run_replicas
+    from harmonydcc.workloads import WorkloadSpec, generate
+
+    spec = WorkloadSpec(kind="ycsb", keys=50, theta=0.99, seed=7)
+    (block,) = make_blocks(generate(spec, 40), 40)
+    config = RunConfig(replicas=1, engine=engine, inter_block=inter_block)
+    (result,) = run_replicas([block], config).results[0]
+    assert len(_reachable_tuples(result.reads)) <= len(block.txns)
+
+    steps = {id(step) for txn in block.txns for step in txn.steps}
+    held = _reachable_tuples(result.commands)
+    chains = [obj for obj in held if len(obj) == 1]
+    assert chains  # some transaction updates a key twice
+    assert all(id(part) in steps for chain in chains for part in chain[0])
+    allowed = steps | {id(chain) for chain in chains} | {id(chain[0]) for chain in chains}
+    assert [obj for obj in held if id(obj) not in allowed] == []
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +197,7 @@ def test_kept_block_results_hold_no_reads_the_collector_tracks(engine, inter_blo
 def test_own_read_sees_pending_update():
     steps = (UpdateStep("x", "add", 10), ReadStep("x"))
     reads, commands = execute_program(1, steps, lambda k: 10)
-    assert reads == [("x", 20, True)]
+    assert reads == ["x", 20, True]
     assert list(commands) == ["x"]
     assert apply_command(commands["x"], 10) == 20
 
@@ -230,7 +246,7 @@ def test_branch_skip_to_the_last_step_returns_without_the_skipped_updates():
     skipped = (UpdateStep("a", "add", 1), UpdateStep("b", "add", 1))
     steps = (ReadStep("x"), BranchStep("x", "lt", 0, len(skipped))) + skipped
     reads, commands = execute_program(1, steps, lambda k: 10)
-    assert reads == [("x", 10, False)]
+    assert reads == ["x", 10, False]
     assert commands == {}
 
 

@@ -474,7 +474,7 @@ def test_own_read_matches_serial_replay_observation():
             return _overlay.get(key, store.reader(0)(key))
         raw, commands = execute_program(tid, txns[tid].steps, live)
         if tid == 1:
-            replay_reads = {k: v for k, v, _ in raw}
+            replay_reads = dict(zip(raw[::3], raw[1::3]))
         for key in commands:
             overlay[key] = apply_command(commands[key], live(key))
     assert replay_reads["x"] == sim_read.observed

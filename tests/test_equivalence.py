@@ -44,6 +44,15 @@ def _blocks(workload: str, theta: float):
     return make_blocks(generate(spec, TXNS), BLOCK_SIZE)
 
 
+def _rendered_command(command, tid):
+    """A primitive as (kind, operand, tid), a chain as the 1-list of its
+    rendered parts: the command shapes the pinned documents were hashed with."""
+    if len(command) == 1:
+        return [[_rendered_command(part, tid) for part in command[0]]]
+    _, kind, operand = command
+    return (kind, operand, tid)
+
+
 def _canonical_result(result) -> dict:
     return {
         "block_id": result.block_id,
@@ -60,7 +69,8 @@ def _canonical_result(result) -> dict:
             for tid, records in result.reads.items()
         ),
         "commands": sorted(
-            (tid, sorted(cmds.items())) for tid, cmds in result.commands.items()
+            (tid, sorted((key, _rendered_command(cmd, tid)) for key, cmd in cmds.items()))
+            for tid, cmds in result.commands.items()
         ),
         "handler_calls": result.handler_calls,
     }

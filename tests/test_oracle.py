@@ -305,7 +305,8 @@ def _history_faults(blocks, results, serial: bool) -> list[str]:
             if after[applied[-1], key] != result.writes[key]:
                 faults.append(f"block {result.block_id}: the replay leaves {key} otherwise")
         if serial and any(
-            list(result.reads[tid]) != replayed_reads[tid] for tid in result.committed
+            [item for record in result.reads[tid] for item in record] != replayed_reads[tid]
+            for tid in result.committed
         ):
             faults.append(f"block {result.block_id}: the replay reads other values")
     return faults
